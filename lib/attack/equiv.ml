@@ -1,5 +1,5 @@
 module Circuit = Ll_netlist.Circuit
-module Eval = Ll_netlist.Eval
+module Compiled = Ll_netlist.Compiled
 module Solver = Ll_sat.Solver
 module Tseitin = Ll_sat.Tseitin
 module Lit = Ll_sat.Lit
@@ -7,28 +7,43 @@ module Prng = Ll_util.Prng
 
 type verdict = Equivalent | Counterexample of bool array
 
+(* Both simulations below compile their circuits once per call into
+   call-local scratch rather than through the per-domain [Compiled.cached]
+   memo: the circuits checked here are one-off composed or key-bound
+   netlists, and memoising them would keep each one (with its program and
+   scratch) alive long after the check. *)
 let equal_outputs a b ~inputs =
-  Eval.eval a ~inputs ~keys:[||] = Eval.eval b ~inputs ~keys:[||]
+  let run c =
+    let p = Compiled.compile c in
+    let s = Compiled.scratch p in
+    Compiled.eval_into p s ~inputs ~keys:[||];
+    Compiled.read_outputs p s
+  in
+  run a = run b
 
 let random_counterexample ~samples a b =
   let g = Prng.create 0x5EED in
   let n = Circuit.num_inputs a in
+  let pa = Compiled.compile a and pb = Compiled.compile b in
+  let sa = Compiled.scratch pa and sb = Compiled.scratch pb in
   let rec round r =
     if r >= samples then None
     else begin
       let lanes = Array.init n (fun _ -> Prng.bits64 g) in
-      let o1 = Eval.eval_lanes a ~inputs:lanes ~keys:[||] in
-      let o2 = Eval.eval_lanes b ~inputs:lanes ~keys:[||] in
+      Compiled.eval_lanes_into pa sa ~inputs:lanes ~keys:[||];
+      Compiled.eval_lanes_into pb sb ~inputs:lanes ~keys:[||];
       let diff = ref None in
-      Array.iteri
-        (fun o w1 -> if !diff = None && w1 <> o2.(o) then
-            (* Find the offending lane. *)
-            let w = Int64.logxor w1 o2.(o) in
-            let rec lane i = if Int64.logand (Int64.shift_right_logical w i) 1L = 1L then i else lane (i + 1) in
-            let l = lane 0 in
-            diff := Some (Array.init n (fun i ->
-                Int64.logand (Int64.shift_right_logical lanes.(i) l) 1L = 1L)))
-        o1;
+      for o = 0 to Circuit.num_outputs a - 1 do
+        let w1 = Compiled.output_lanes pa sa o and w2 = Compiled.output_lanes pb sb o in
+        if !diff = None && w1 <> w2 then begin
+          (* Find the offending lane. *)
+          let w = Int64.logxor w1 w2 in
+          let rec lane i = if Int64.logand (Int64.shift_right_logical w i) 1L = 1L then i else lane (i + 1) in
+          let l = lane 0 in
+          diff := Some (Array.init n (fun i ->
+              Int64.logand (Int64.shift_right_logical lanes.(i) l) 1L = 1L))
+        end
+      done;
       match !diff with Some cex -> Some cex | None -> round (r + 1)
     end
   in

@@ -179,19 +179,34 @@ let scratch p =
     unknown = 0;
   }
 
-let scratch_cache : (int, scratch) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+(* The per-domain scratch cache has as many slots as the program memo, so
+   the scratches a domain retains stay bounded by the programs it keeps
+   using: a program evicted from [prog_cache] (or a one-off compiled
+   program) soon loses its scratch to the least recently used slot
+   instead of keeping it alive.  Hits allocate nothing. *)
+type scratch_slots = { slots : scratch option array; used : int array; mutable clock : int }
+
+let scratch_cache : scratch_slots Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { slots = Array.make cache_slots None; used = Array.make cache_slots 0; clock = 0 })
 
 let local_scratch p =
-  let tbl = Domain.DLS.get scratch_cache in
-  match Hashtbl.find_opt tbl p.id with
-  | Some s -> s
-  | None ->
-      (* Unbounded program churn (e.g. fuzzing) must not leak scratches. *)
-      if Hashtbl.length tbl > 128 then Hashtbl.reset tbl;
-      let s = scratch p in
-      Hashtbl.add tbl p.id s;
-      s
+  let c = Domain.DLS.get scratch_cache in
+  c.clock <- c.clock + 1;
+  let hit = ref (-1) and lru = ref 0 in
+  for j = 0 to cache_slots - 1 do
+    (match c.slots.(j) with Some s when s.for_id = p.id -> hit := j | _ -> ());
+    if c.used.(j) < c.used.(!lru) then lru := j
+  done;
+  let i =
+    if !hit >= 0 then !hit
+    else begin
+      c.slots.(!lru) <- Some (scratch p);
+      !lru
+    end
+  in
+  c.used.(i) <- c.clock;
+  Option.get c.slots.(i)
 
 let check_scratch p s =
   if s.for_id <> p.id then invalid_arg "Compiled: scratch belongs to another program"

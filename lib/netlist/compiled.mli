@@ -103,7 +103,10 @@ val scratch : t -> scratch
 
 val local_scratch : t -> scratch
 (** The calling domain's cached scratch for this program (allocated on
-    first use per domain). *)
+    first use per domain).  Each domain keeps scratches for at most as
+    many programs as the {!cached} memo holds, evicting the least
+    recently used, so a program that is no longer used does not keep its
+    scratch alive. *)
 
 (** {1 Simulation kernels} *)
 

@@ -82,6 +82,13 @@ let hdr_size_shift = Arena.hdr_size_shift
 
 let no_cref = Arena.no_cref
 
+(* Model-extension state of the last answer.  A [Sat] answer leaves the
+   model on the trail and only marks it [Pending]; the eliminated-clause
+   stack is replayed into [ext_model] the first time an eliminated
+   variable is read ([Extended]).  Any backtrack — hence any later clause
+   addition or solve — drops the model ([No_model]). *)
+type ext_state = No_model | Pending | Extended
+
 type t = {
   ar : Arena.t;
   clauses : int Vec.t;  (* crefs of problem clauses *)
@@ -120,6 +127,7 @@ type t = {
   mutable frozen : bool array;
   mutable eliminated : bool array;
   mutable ext_model : int array;  (* extension values for eliminated vars *)
+  mutable ext : ext_state;
   mutable n_eliminated : int;
   mutable clause_cursor : int;  (* clauses-vector prefix seen by the last session *)
   mutable last_trail_simp : int;  (* root trail size at the last session *)
@@ -170,6 +178,7 @@ let create ?(seed = 0) ?(simp = true) () =
       frozen = Array.make 64 false;
       eliminated = Array.make 64 false;
       ext_model = Array.make 64 (-1);
+      ext = No_model;
       n_eliminated = 0;
       clause_cursor = 0;
       last_trail_simp = 0;
@@ -429,6 +438,7 @@ let propagate s =
 (* --- Backtracking --- *)
 
 let cancel_until s target =
+  s.ext <- No_model;
   if decision_level s > target then begin
     let bound = Vec.get s.trail_lim target in
     for i = Vec.length s.trail - 1 downto bound do
@@ -1064,17 +1074,6 @@ let search s ~assumptions ~conflict_budget ~max_learnts ~conflict_limit =
   done;
   Option.get !outcome
 
-(* Complete a Sat model over eliminated variables by replaying the
-   eliminated-clause stack (values land in [ext_model], consulted by
-   [value]). *)
-let extend_model s =
-  if s.n_eliminated > 0 then begin
-    Array.fill s.ext_model 0 (Array.length s.ext_model) (-1);
-    Simp.extend_model s.simp
-      ~value:(fun v -> if s.assigns.(v) >= 0 then s.assigns.(v) else s.ext_model.(v))
-      ~set:(fun v b -> s.ext_model.(v) <- b)
-  end
-
 let solve_core ~assumptions ~conflict_limit s =
   if not s.ok then Unsat
   else begin
@@ -1123,8 +1122,9 @@ let solve_core ~assumptions ~conflict_limit s =
             end
       in
       let result = run 0 in
-      (* On Sat the trail is kept as the model until the next mutation. *)
-      if result = Sat then extend_model s;
+      (* On Sat the trail is kept as the model until the next mutation;
+         its extension over eliminated variables waits for [value]. *)
+      if result = Sat then s.ext <- Pending;
       result
     end
   end
@@ -1166,13 +1166,24 @@ let solve ?(assumptions = []) ?(conflict_limit = 0) s =
   end
   else solve_core ~assumptions ~conflict_limit s
 
+(* Complete the pending Sat model over eliminated variables by replaying
+   the eliminated-clause stack once (values land in [ext_model]). *)
+let extend_model s =
+  Array.fill s.ext_model 0 (Array.length s.ext_model) (-1);
+  Simp.extend_model s.simp
+    ~value:(fun v -> if s.assigns.(v) >= 0 then s.assigns.(v) else s.ext_model.(v))
+    ~set:(fun v b -> s.ext_model.(v) <- b);
+  s.ext <- Extended
+
 let value s l =
   match lit_value s l with
   | 1 -> true
   | 0 -> false
   | _ ->
       let v = Lit.var l in
-      if v < s.nvars && s.eliminated.(v) && s.ext_model.(v) >= 0 then
+      let elim = v < s.nvars && s.eliminated.(v) in
+      if elim && s.ext = Pending then extend_model s;
+      if elim && s.ext = Extended && s.ext_model.(v) >= 0 then
         s.ext_model.(v) lxor (l land 1) = 1
       else invalid_arg "Solver.value: literal unassigned in model"
 

@@ -32,8 +32,9 @@
     avoid the eliminate/restore churn (circuit encoders freeze inputs,
     key bits and outputs; attack loops freeze their
     assumption/activation literals).  Models returned after elimination
-    are automatically extended over the eliminated variables, so
-    {!value} remains total on a [Sat] answer.
+    are extended over the eliminated variables on demand, so {!value}
+    remains total on a [Sat] answer (see {!value} for when the extension
+    runs and how long it stays readable).
     While DRUP recording is enabled ({!enable_proof}), elimination is
     disabled entirely — every other simplification is
     equivalence-preserving and is logged as RUP additions/deletions. *)
@@ -136,7 +137,16 @@ exception Conflict_limit
 val value : t -> Lit.t -> bool
 (** Model value of a literal.  Only meaningful after a [Sat] answer, for
     variables that existed during that solve.  Total even for eliminated
-    variables: their values come from the model-extension overlay. *)
+    variables: the first read of an eliminated variable after a [Sat]
+    answer replays the eliminated-clause stack once, and later reads use
+    that extension.  A [Sat] answer whose eliminated variables are never
+    read pays nothing for the extension.
+
+    The model lives until the next mutation: {!add_clause} (and its
+    batch/import variants) or {!solve} drops it.  After that, reading an
+    eliminated variable raises [Invalid_argument], as reading any
+    unassigned variable does; read every value you need before adding
+    clauses. *)
 
 val model_var : t -> int -> bool
 

@@ -259,6 +259,19 @@ let test_cached_memo () =
   let p1 = Compiled.cached c and p2 = Compiled.cached c in
   Alcotest.(check bool) "same compiled program" true (p1 == p2)
 
+(* The per-domain scratch cache is bounded by the program memo: once the
+   domain has moved on to more programs than [cached] holds, the scratch
+   of a program it no longer uses is unreachable and gets collected. *)
+let test_scratch_cache_bounded () =
+  let circuit seed = random_all_gates ~seed ~num_inputs:3 ~num_keys:0 ~gates:8 ~num_outputs:1 () in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some (Compiled.local_scratch (Compiled.cached (circuit 100))));
+  for seed = 101 to 116 do
+    ignore (Compiled.eval (Compiled.cached (circuit seed)) ~inputs:[| false; true; false |] ~keys:[||])
+  done;
+  Gc.full_major ();
+  Alcotest.(check bool) "evicted program's scratch collected" false (Weak.check w 0)
+
 let suite =
   [
     Alcotest.test_case "scalar kernel vs interpreter" `Quick test_scalar_vs_reference;
@@ -269,4 +282,5 @@ let suite =
     Alcotest.test_case "mux liveness" `Quick test_mux_liveness;
     Alcotest.test_case "scratch rules" `Quick test_scratch_rules;
     Alcotest.test_case "cached memo" `Quick test_cached_memo;
+    Alcotest.test_case "scratch cache bounded" `Quick test_scratch_cache_bounded;
   ]

@@ -76,6 +76,7 @@ let prop_incremental =
       let rounds = 2 + Prng.int g 4 in
       let all_clauses = ref [] in
       let cg = Prng.create (seed lxor 0x5a5a) in
+      let sg = Prng.create (seed lxor 0x3c3c) in
       for _round = 1 to rounds do
         let batch = random_cnf cg ~nvars ~nclauses:(2 + Prng.int g (2 * nvars)) in
         all_clauses := batch @ !all_clauses;
@@ -85,7 +86,19 @@ let prop_incremental =
         let r_s = Solver.solve ~assumptions:[ act_s ] simp in
         Alcotest.(check bool) "round result agrees" true (r_p = r_s);
         if r_s = Solver.Sat then begin
-          check_model_satisfies simp !all_clauses;
+          (* Read every variable, eliminated ones included, in a shuffled
+             order: the on-demand extension must be total whichever
+             variable is read first, and the full model must satisfy
+             every clause added so far. *)
+          let order = Array.init (Solver.num_vars simp) Fun.id in
+          Prng.shuffle sg order;
+          let model = Array.make (Array.length order) false in
+          Array.iter (fun v -> model.(v) <- Solver.model_var simp v) order;
+          List.iter
+            (fun clause ->
+              Alcotest.(check bool) "full model satisfies clause" true
+                (List.exists (fun l -> model.(Lit.var l) = Lit.is_pos l) clause))
+            !all_clauses;
           Alcotest.(check bool) "assumption honoured" true (Solver.value simp act_s)
         end
       done;
@@ -209,6 +222,28 @@ let test_bve_eliminates_and_extends () =
   Alcotest.(check bool) "a->x holds" true ((not (Solver.model_var s a)) || Solver.model_var s x);
   Alcotest.(check bool) "x->b holds" true ((not (Solver.model_var s x)) || Solver.model_var s b)
 
+(* Unit: a model lives until the next mutation.  Before it, an
+   eliminated variable reads its extended value; after a later
+   [add_clause] the model is gone, and reading the still-eliminated
+   variable raises [Invalid_argument] like any unassigned variable. *)
+let test_eliminated_read_after_add_clause () =
+  let s = Solver.create () in
+  let a = Solver.new_var s and x = Solver.new_var s and b = Solver.new_var s in
+  let c = Solver.new_var s in
+  List.iter (Solver.freeze_var s) [ a; b; c ];
+  Solver.add_clause s [ Lit.neg a; Lit.pos x ];
+  Solver.add_clause s [ Lit.neg x; Lit.pos b ];
+  Alcotest.(check bool) "sat" true (Solver.solve ~assumptions:[ Lit.pos a ] s = Solver.Sat);
+  Alcotest.(check bool) "x eliminated" true (Solver.is_eliminated s x);
+  Alcotest.(check bool) "x extended under a" true (Solver.model_var s x);
+  (* A clause over frozen variables only: x stays eliminated. *)
+  Solver.add_clause s [ Lit.pos c ];
+  Alcotest.(check bool) "x still eliminated" true (Solver.is_eliminated s x);
+  Alcotest.(check bool) "root unit still readable" true (Solver.model_var s c);
+  Alcotest.check_raises "eliminated read after add_clause"
+    (Invalid_argument "Solver.value: literal unassigned in model") (fun () ->
+      ignore (Solver.model_var s x))
+
 (* Unit: frozen variables are never eliminated. *)
 let test_frozen_not_eliminated () =
   let s = Solver.create () in
@@ -287,6 +322,8 @@ let suite =
   [
     Alcotest.test_case "subsumption stats" `Quick test_subsumption_stats;
     Alcotest.test_case "bve eliminates and extends" `Quick test_bve_eliminates_and_extends;
+    Alcotest.test_case "eliminated read after add_clause raises" `Quick
+      test_eliminated_read_after_add_clause;
     Alcotest.test_case "frozen not eliminated" `Quick test_frozen_not_eliminated;
     Alcotest.test_case "restore on mention" `Quick test_restore_on_mention;
     Alcotest.test_case "restore on assumption" `Quick test_restore_on_assumption;
