@@ -40,9 +40,6 @@ type record = {
   kernel_vs_rebuild : float;
   rebuild_minor_words_per_dip : float;
   kernel_minor_words_per_dip : float;
-  batch_qs : int array;  (* DIP-constraint batch sizes swept below *)
-  batch_encode_dips_per_s : float array;  (* kernel path, one entry per q *)
-  batch_q64_vs_q1 : float;
   gc_json : string;  (* shared GC gauges, rendered at record-build time *)
 }
 
@@ -165,52 +162,6 @@ let constraint_generation ~dips locked =
     rebuild_minor /. float_of_int dips,
     kernel_minor /. float_of_int dips )
 
-(* The batched-encode half of the attack pipeline in isolation: the same
-   kernel-path DIP constraints, grouped [q] at a time under
-   [Tseitin.with_batch] so each group's clauses land in one contiguous
-   arena append — the encode step of a [Sat_attack] batch round without
-   its solver.  Swept over the pipeline's q ladder. *)
-let batch_qs = [| 1; 4; 16; 64 |]
-
-let batched_constraint_generation ~dips locked =
-  let n_in = Circuit.num_inputs locked and n_key = Circuit.num_keys locked in
-  let g = Prng.create 0xD1F5 in
-  let dip_pats = Array.init dips (fun _ -> Array.init n_in (fun _ -> Prng.bool g)) in
-  let prog = Compiled.compile locked in
-  let responses =
-    Array.map
-      (fun dip -> Compiled.eval prog ~inputs:dip ~keys:(Array.make n_key false))
-      dip_pats
-  in
-  let run_q q =
-    let wall, _ =
-      timed (fun () ->
-          let solver = Solver.create () in
-          let env = Tseitin.create solver in
-          let key_lits = Tseitin.fresh_lits env n_key in
-          let scratch = Compiled.scratch prog in
-          let base = ref 0 in
-          while !base < dips do
-            let k = min q (dips - !base) in
-            let encode_one j =
-              let d = !base + j in
-              Compiled.cofactor_into prog scratch ~inputs:dip_pats.(d);
-              let outs = Tseitin.encode_cofactored env prog scratch ~key_lits in
-              Array.iteri (fun o l -> Tseitin.force env l responses.(d).(o)) outs
-            in
-            if k > 1 then
-              Tseitin.with_batch env (fun () ->
-                  for j = 0 to k - 1 do
-                    encode_one j
-                  done)
-            else encode_one 0;
-            base := !base + k
-          done)
-    in
-    float_of_int dips /. wall
-  in
-  Array.map run_q batch_qs
-
 (* ------------------------------------------------------------------ *)
 (* Workloads                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -222,10 +173,8 @@ let bench ~name ~reps ~dips locked =
   let rebuild_dps, kernel_dps, rebuild_wpd, kernel_wpd =
     constraint_generation ~dips locked
   in
-  let batch_dps = batched_constraint_generation ~dips locked in
   let bench_wall = Timer.monotonic () -. t0 in
   let g1 = Gc.quick_stat () in
-  let last = Array.length batch_dps - 1 in
   let r =
     {
       name;
@@ -242,10 +191,6 @@ let bench ~name ~reps ~dips locked =
       kernel_vs_rebuild = kernel_dps /. rebuild_dps;
       rebuild_minor_words_per_dip = rebuild_wpd;
       kernel_minor_words_per_dip = kernel_wpd;
-      batch_qs;
-      batch_encode_dips_per_s = batch_dps;
-      batch_q64_vs_q1 =
-        (if batch_dps.(0) > 0.0 then batch_dps.(last) /. batch_dps.(0) else 0.0);
       gc_json =
         Bench_gc.json_fields
           ~minor_words:(g1.Gc.minor_words -. g0.Gc.minor_words)
@@ -255,16 +200,9 @@ let bench ~name ~reps ~dips locked =
   records := r :: !records;
   Printf.printf
     "  %-20s %8.0f interp/s %9.0f scalar/s %11.0f packed/s (%5.1fx)\n\
-    \  %-20s %8.1f rebuild dips/s %8.1f kernel dips/s (%5.1fx), minor w/dip %8.0f -> %7.0f\n\
-    \  %-20s batched encode dips/s %s (q64/q1 x%.2f)\n%!"
+    \  %-20s %8.1f rebuild dips/s %8.1f kernel dips/s (%5.1fx), minor w/dip %8.0f -> %7.0f\n%!"
     r.name interp_ps scalar_ps packed_ps r.packed_vs_scalar "" rebuild_dps kernel_dps
-    r.kernel_vs_rebuild rebuild_wpd kernel_wpd ""
-    (String.concat " "
-       (Array.to_list
-          (Array.mapi
-             (fun i q -> Printf.sprintf "q%d=%.0f" q batch_dps.(i))
-             batch_qs)))
-    r.batch_q64_vs_q1
+    r.kernel_vs_rebuild rebuild_wpd kernel_wpd
 
 let sarlock name ~key_size =
   let c = LL.Bench_suite.Iscas.get name in
@@ -295,19 +233,12 @@ let json_of_record r =
     \    \"kernel_vs_rebuild\": %.3f,\n\
     \    \"rebuild_minor_words_per_dip\": %.1f,\n\
     \    \"kernel_minor_words_per_dip\": %.1f,\n\
-    \    \"batch_qs\": [%s],\n\
-    \    \"batch_encode_dips_per_s\": [%s],\n\
-    \    \"batch_q64_vs_q1\": %.3f,\n\
     \    %s\n\
     \  }"
     r.name r.gates r.num_keys r.sim_patterns r.interp_patterns_per_s
     r.scalar_patterns_per_s r.packed_patterns_per_s r.packed_vs_scalar r.dips
     r.rebuild_dips_per_s r.kernel_dips_per_s r.kernel_vs_rebuild
-    r.rebuild_minor_words_per_dip r.kernel_minor_words_per_dip
-    (String.concat ", " (Array.to_list (Array.map string_of_int r.batch_qs)))
-    (String.concat ", "
-       (Array.to_list (Array.map (Printf.sprintf "%.1f") r.batch_encode_dips_per_s)))
-    r.batch_q64_vs_q1 r.gc_json
+    r.rebuild_minor_words_per_dip r.kernel_minor_words_per_dip r.gc_json
 
 (* Structural JSON well-formedness: balanced delimiters outside strings.
    Cheap enough to run after every write; the smoke alias relies on it. *)

@@ -25,10 +25,9 @@ module Sat_attack = LL.Attack.Sat_attack
 module Split_attack = LL.Attack.Split_attack
 module Tel = LL.Telemetry.Telemetry
 
+let args = Array.to_list Sys.argv |> List.tl |> List.map String.lowercase_ascii
+
 let sections =
-  let requested =
-    Array.to_list Sys.argv |> List.tl |> List.map String.lowercase_ascii
-  in
   let all =
     [
       "fig1a"; "fig1b"; "table1"; "table2"; "exact"; "micro"; "ablation"; "smoke";
@@ -39,24 +38,31 @@ let sections =
      SAT-core suite behind the [bench-sat-smoke] CI alias, a subset of
      "sat"; "evalsmoke" likewise for the compiled-kernel suite behind
      [bench-eval-smoke]; "satsimp" is the inprocessing on/off comparison
-     behind [bench-sat-simp-smoke] (BENCH_sat_simp.json); "dipbatch" is
-     the batched-DIP q sweep behind [bench-dip-batch-smoke]
-     (BENCH_dip_batch.json); "cube" is the adaptive cube-and-conquer vs
-     fixed-N comparison (BENCH_cube.json), "cubesmoke" its seconds-scale
-     subset behind [bench-cube-smoke]; "keypop"/"keypopsmoke" is the exact
-     key-population grid behind [bench-keypop-smoke] (BENCH_keypop.json). *)
+     behind [bench-sat-simp-smoke] (BENCH_sat_simp.json); "cube" is the
+     adaptive cube-and-conquer vs fixed-N comparison (BENCH_cube.json),
+     "cubesmoke" its seconds-scale subset behind [bench-cube-smoke];
+     "keypop"/"keypopsmoke" is the exact key-population grid behind
+     [bench-keypop-smoke] (BENCH_keypop.json). *)
   let extras =
     [
-      "satsmoke"; "evalsmoke"; "satsimp"; "dipbatch"; "cube"; "cubesmoke";
-      "keypop"; "keypopsmoke";
+      "satsmoke"; "evalsmoke"; "satsimp"; "cube"; "cubesmoke"; "keypop";
+      "keypopsmoke";
     ]
   in
-  let chosen =
-    List.filter (fun s -> List.mem s all || List.mem s extras) requested
-  in
-  if chosen = [] then all else chosen
+  (* "full" and "only=NAME" modify sections; anything else must name one.
+     An unknown name is an error rather than a request for everything:
+     the default run includes table2, which takes hours. *)
+  let modifier a = a = "full" || String.starts_with ~prefix:"only=" a in
+  let requested = List.filter (fun a -> not (modifier a)) args in
+  match List.filter (fun a -> not (List.mem a all || List.mem a extras)) requested with
+  | [] -> if requested = [] then all else requested
+  | unknown ->
+      Printf.eprintf "bench: unknown section(s): %s\nvalid sections: %s\n"
+        (String.concat " " unknown)
+        (String.concat " " (all @ extras));
+      exit 2
 
-let full_mode = List.mem "full" (Array.to_list Sys.argv |> List.map String.lowercase_ascii)
+let full_mode = List.mem "full" args
 
 let want s = List.mem s sections
 
@@ -132,9 +138,6 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
   let serial, serial_wall, serial_minor, serial_major =
     time (fun () -> Split_attack.run ~n locked ~oracle)
   in
-  let _static, static_wall, _, _ =
-    time (fun () -> Split_attack.run_parallel_static ~num_domains:domains ~n locked ~oracle)
-  in
   let pool = LL.Runtime.Pool.create ~num_domains:domains () in
   let steal, steal_wall, _, _ =
     time (fun () -> Split_attack.run_parallel ~pool ~n locked ~oracle)
@@ -153,67 +156,6 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
   Tel.disable ();
   let num_tasks = Array.length steal.Split_attack.tasks in
   let traj = dip_trajectories snap num_tasks in
-  (* Batched-DIP sweep over the same workload: the serial runner with the
-     pipeline pinned at each q.  The q = 1 run must be byte-identical to
-     the plain serial run above (same DIP sequences per task) — that is
-     the pipeline's compatibility invariant, recorded as a boolean. *)
-  let dip_qs = [| 1; 4; 16; 64 |] in
-  let batch_runs =
-    Array.map
-      (fun q ->
-        let config =
-          { Sat_attack.default_config with
-            dip_batch =
-              { Sat_attack.q; q_max = q; adaptive = false; oracle_pool = None }
-          }
-        in
-        let r, wall, _, _ = time (fun () -> Split_attack.run ~config ~n locked ~oracle) in
-        (wall, r))
-      dip_qs
-  in
-  let total f (s : Split_attack.t) =
-    Array.fold_left (fun acc t -> acc + f t.Split_attack.result) 0 s.Split_attack.tasks
-  in
-  let batch_wall = Array.map fst batch_runs in
-  let batch_dips =
-    Array.map (fun (_, s) -> total (fun r -> r.Sat_attack.num_dips) s) batch_runs
-  in
-  let batch_rounds =
-    Array.map (fun (_, s) -> total (fun r -> r.Sat_attack.rounds) s) batch_runs
-  in
-  let batch_dips_s =
-    Array.init (Array.length batch_runs) (fun i ->
-        if batch_wall.(i) > 0.0 then float_of_int batch_dips.(i) /. batch_wall.(i)
-        else 0.0)
-  in
-  let dip_sequences (s : Split_attack.t) =
-    Array.map
-      (fun (t : Split_attack.task) ->
-        t.result.Sat_attack.dips |> List.map Bitvec.to_string |> String.concat ",")
-      s.Split_attack.tasks
-  in
-  let q1_matches_serial = dip_sequences (snd batch_runs.(0)) = dip_sequences serial in
-  (* Cross-q key equality is NOT an invariant here: a cofactor sub-space
-     usually has several unlocking keys and different DIP sets may settle
-     on different ones.  What must hold is that every sub-attack at every
-     q still closes with a key. *)
-  let batch_all_broken =
-    Array.for_all
-      (fun (_, s) ->
-        Array.for_all
-          (fun (t : Split_attack.task) ->
-            t.result.Sat_attack.status = Sat_attack.Broken)
-          s.Split_attack.tasks)
-      batch_runs
-  in
-  Printf.printf "  %-16s dip batch:%s  q1==serial %b, all broken %b\n%!" name
-    (String.concat ""
-       (Array.to_list
-          (Array.mapi
-             (fun i q ->
-               Printf.sprintf " q%d %.3fs/%dr" q batch_wall.(i) batch_rounds.(i))
-             dip_qs)))
-    q1_matches_serial batch_all_broken;
   let task_dips =
     Array.map (fun (t : Split_attack.task) -> t.result.Sat_attack.num_dips) traced.Split_attack.tasks
   in
@@ -225,10 +167,10 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
       serial.Split_attack.tasks steal.Split_attack.tasks
   in
   Printf.printf
-    "  %-16s serial %6.3f s | static(%d) %6.3f s | stealing(%d) %6.3f s, %d steals\n\
+    "  %-16s serial %6.3f s | stealing(%d) %6.3f s, %d steals\n\
     \  %-16s per task min %.3f / mean %.3f / max %.3f s, identical to serial: %b\n\
     \  %-16s traced %6.3f s, %d events, %d conflicts, %d propagations\n%!"
-    name serial_wall domains static_wall domains steal_wall stats.LL.Runtime.Pool.steals ""
+    name serial_wall domains steal_wall stats.LL.Runtime.Pool.steals ""
     (Split_attack.min_task_time steal)
     (Split_attack.mean_task_time steal)
     (Split_attack.max_task_time steal)
@@ -247,7 +189,6 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
       \    \"num_tasks\": %d,\n\
       \    \"domains\": %d,\n\
       \    \"serial_wall_s\": %.6f,\n\
-      \    \"static_wall_s\": %.6f,\n\
       \    \"stealing_wall_s\": %.6f,\n\
       \    \"traced_wall_s\": %.6f,\n\
       \    \"task_min_s\": %.6f,\n\
@@ -266,16 +207,9 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
       \    \"trace_dropped_events\": %d,\n\
       \    \"task_dips\": %s,\n\
       \    \"task_iters_s\": [%s],\n\
-      \    \"dip_batch_qs\": %s,\n\
-      \    \"dip_batch_wall_s\": %s,\n\
-      \    \"dip_batch_dips\": %s,\n\
-      \    \"dip_batch_rounds\": %s,\n\
-      \    \"dip_batch_dips_per_s\": %s,\n\
-      \    \"dip_batch_q1_matches_serial\": %b,\n\
-      \    \"dip_batch_all_broken\": %b,\n\
       \    %s\n\
       \  }"
-      section name n num_tasks domains serial_wall static_wall steal_wall traced_wall
+      section name n num_tasks domains serial_wall steal_wall traced_wall
       (Split_attack.min_task_time steal)
       (Split_attack.mean_task_time steal)
       (Split_attack.max_task_time steal)
@@ -289,9 +223,6 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
       snap.Tel.dropped_events
       (json_int_array task_dips)
       (String.concat ", " (Array.to_list (Array.map json_float_array traj)))
-      (json_int_array dip_qs) (json_float_array batch_wall)
-      (json_int_array batch_dips) (json_int_array batch_rounds)
-      (json_float_array batch_dips_s) q1_matches_serial batch_all_broken
       (Bench_gc.json_fields ~minor_words:serial_minor ~wall_s:serial_wall)
   in
   split_records := record :: !split_records
@@ -487,7 +418,7 @@ let table2 () =
 (* ------------------------------------------------------------------ *)
 
 let ablation () =
-  header "Ablation: split-input selection and constraint simplification";
+  header "Ablation: split-input selection and multi-key resistance";
   let c = LL.Bench_suite.Iscas.get "c880" in
   let locked =
     LL.Locking.Lut_lock.lock ~prng:(Prng.create 7) ~stage1_luts:4 ~stage1_inputs:3 c
@@ -510,15 +441,11 @@ let ablation () =
   in
   run_with (Some random_inputs) "random inputs";
 
-  (* 2. DIP-constraint simplification on/off in the baseline attack. *)
-  Printf.printf "\nDIP-constraint simplification (baseline SAT attack, same design):\n";
-  List.iter
-    (fun simplify ->
-      let config = { Sat_attack.default_config with simplify_constraints = simplify } in
-      let r = Sat_attack.run ~config locked.circuit ~oracle in
-      Printf.printf "  simplify=%-5b  %4d DIPs  %8.2f s (%.2f s solving)\n%!" simplify
-        r.Sat_attack.num_dips r.total_time r.solve_time)
-    [ true; false ];
+  (* 2. The one-key baseline on the same design, for scale. *)
+  Printf.printf "\nbaseline SAT attack (same design):\n";
+  let r = Sat_attack.run locked.circuit ~oracle in
+  Printf.printf "  %-22s %4d DIPs  %8.2f s (%.2f s solving)\n%!" "baseline (N=0)"
+    r.Sat_attack.num_dips r.total_time r.solve_time;
 
   (* 3. Future-work defense: input-mixing SARLock vs classic SARLock under
      the split attack (per-task #DIP should stop halving). *)
@@ -678,12 +605,6 @@ let sat_simp ~smoke =
      else "SAT inprocessing: on/off comparison");
   Sat_bench.run_simp ~smoke
 
-let sat_dip_batch ~smoke =
-  header
-    (if smoke then "Batched DIP pipeline: q sweep (fast CI check)"
-     else "Batched DIP pipeline: q sweep");
-  Sat_bench.run_dip_batch ~smoke
-
 (* ------------------------------------------------------------------ *)
 (* Compiled netlist kernel: simulation + constraint-generation rates   *)
 (* (BENCH_eval.json).                                                  *)
@@ -733,7 +654,6 @@ let () =
   if want "sat" then sat_core ~smoke:false;
   if want "satsmoke" then sat_core ~smoke:true;
   if want "satsimp" then sat_simp ~smoke:true;
-  if want "dipbatch" then sat_dip_batch ~smoke:true;
   if want "eval" then eval_core ~smoke:false;
   if want "evalsmoke" then eval_core ~smoke:true;
   if want "cube" then cube ~smoke:false;

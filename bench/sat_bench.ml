@@ -542,128 +542,6 @@ let run_simp ~smoke =
   write_simp_json ()
 
 (* ------------------------------------------------------------------ *)
-(* Batched DIP pipeline: q sweep                                       *)
-(*                                                                     *)
-(* The full oracle-guided SAT attack run at fixed batch sizes          *)
-(* q in {1, 4, 16, 64} (adaptation off, so each run measures exactly   *)
-(* one batch size).  One record per instance, kind "dip_batch", with   *)
-(* per-q arrays: wall time, DIPs found, batch rounds (main solves),    *)
-(* DIPs/s and the DIPs/s speedup over the classic q = 1 loop.  The     *)
-(* records land in BENCH_sat.json next to the solver records (and also *)
-(* standalone in BENCH_dip_batch.json via the bench-dip-batch-smoke    *)
-(* alias).                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let dip_batch_qs = [| 1; 4; 16; 64 |]
-
-let dip_batch_records : string list ref = ref []
-
-let dip_batch_sweep ~name locked ~oracle =
-  let attack q =
-    let config =
-      { Sat_attack.default_config with
-        dip_batch = { Sat_attack.q; q_max = q; adaptive = false; oracle_pool = None }
-      }
-    in
-    let t0 = Timer.monotonic () in
-    let r = Sat_attack.run ~config locked ~oracle in
-    (Timer.monotonic () -. t0, r)
-  in
-  let g0 = Gc.quick_stat () in
-  let runs = Array.map attack dip_batch_qs in
-  let g1 = Gc.quick_stat () in
-  let rate w n = if w > 0.0 then float_of_int n /. w else 0.0 in
-  let wall = Array.map fst runs in
-  let dips = Array.map (fun (_, r) -> r.Sat_attack.num_dips) runs in
-  let rounds = Array.map (fun (_, r) -> r.Sat_attack.rounds) runs in
-  let dips_s = Array.init (Array.length runs) (fun i -> rate wall.(i) dips.(i)) in
-  let speedup =
-    Array.map (fun d -> if dips_s.(0) > 0.0 then d /. dips_s.(0) else 0.0) dips_s
-  in
-  let keys_match =
-    (* All runs must recover a functionally interchangeable key; on the
-       seed-fixed instances here the correct key is unique, so the
-       comparison can be literal. *)
-    Array.for_all
-      (fun (_, r) ->
-        r.Sat_attack.status = Sat_attack.Broken
-        && r.Sat_attack.key = (snd runs.(0)).Sat_attack.key)
-      runs
-  in
-  Array.iteri
-    (fun i q ->
-      Printf.printf
-        "  %-26s q=%-2d %8.3f s %5d dips %5d rounds %8.1f dips/s (x%.2f)\n%!" name q
-        wall.(i) dips.(i) rounds.(i) dips_s.(i) speedup.(i))
-    dip_batch_qs;
-  if not keys_match then Printf.printf "  %-26s KEY MISMATCH across q\n%!" name;
-  let ints a = String.concat ", " (Array.to_list (Array.map string_of_int a)) in
-  let floats fmt a =
-    String.concat ", " (Array.to_list (Array.map (Printf.sprintf fmt) a))
-  in
-  let record =
-    Printf.sprintf
-      "  {\n\
-      \    \"name\": %S,\n\
-      \    \"kind\": \"dip_batch\",\n\
-      \    \"qs\": [%s],\n\
-      \    \"wall_s\": [%s],\n\
-      \    \"dips\": [%s],\n\
-      \    \"rounds\": [%s],\n\
-      \    \"dips_per_s\": [%s],\n\
-      \    \"speedup_vs_q1\": [%s],\n\
-      \    \"keys_match\": %b,\n\
-      \    %s\n\
-      \  }"
-      name (ints dip_batch_qs) (floats "%.6f" wall) (ints dips) (ints rounds)
-      (floats "%.2f" dips_s) (floats "%.3f" speedup) keys_match
-      (Bench_gc.json_fields
-         ~minor_words:(g1.Gc.minor_words -. g0.Gc.minor_words)
-         ~wall_s:(Array.fold_left ( +. ) 0.0 (Array.map fst runs)))
-  in
-  dip_batch_records := record :: !dip_batch_records
-
-let dip_batch_suite ~smoke =
-  Printf.printf "\nbatched DIP pipeline (full SAT attack, q sweep):\n";
-  let iscas = LL.Bench_suite.Iscas.get in
-  let sarlock seed k c =
-    (LL.Locking.Sarlock.lock ~prng:(Prng.create seed) ~key_size:k c).LL.Locking.Locked.circuit
-  in
-  let xorlock seed k c =
-    (LL.Locking.Xor_lock.lock ~prng:(Prng.create seed) ~num_keys:k c).LL.Locking.Locked.circuit
-  in
-  let suite =
-    if smoke then
-      [
-        ("c880/xor16", "c880", xorlock 5 16 (iscas "c880"));
-        ("c432/sarlock8", "c432", sarlock 11 8 (iscas "c432"));
-      ]
-    else
-      [
-        ("c880/xor16", "c880", xorlock 5 16 (iscas "c880"));
-        ("c432/sarlock8", "c432", sarlock 11 8 (iscas "c432"));
-        ("c880/sarlock10", "c880", sarlock 7 10 (iscas "c880"));
-        ("c1908/xor16", "c1908", xorlock 5 16 (iscas "c1908"));
-      ]
-  in
-  List.iter
-    (fun (name, base, locked) ->
-      dip_batch_sweep ~name locked ~oracle:(Oracle.of_circuit (iscas base)))
-    suite
-
-let write_dip_batch_json () =
-  if !dip_batch_records <> [] then begin
-    LL.Util.Fileio.write_atomic_string "BENCH_dip_batch.json"
-      (Printf.sprintf "[\n%s\n]\n" (String.concat ",\n" (List.rev !dip_batch_records)));
-    Printf.printf "\nwrote BENCH_dip_batch.json (%d record(s))\n"
-      (List.length !dip_batch_records)
-  end
-
-let run_dip_batch ~smoke =
-  dip_batch_suite ~smoke;
-  write_dip_batch_json ()
-
-(* ------------------------------------------------------------------ *)
 (* Entry points + JSON                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -714,13 +592,8 @@ let record_json r =
 
 let write_json () =
   (* Solver records first, then the simp on/off comparison pairs (kind
-     "simp_compare") and the batched-DIP q sweeps (kind "dip_batch") in
-     one array. *)
-  let parts =
-    List.rev_map record_json !records
-    @ List.rev !simp_records
-    @ List.rev !dip_batch_records
-  in
+     "simp_compare") in one array. *)
+  let parts = List.rev_map record_json !records @ List.rev !simp_records in
   if parts <> [] then begin
     (* Atomic (temp file + rename): a crashed or interrupted run never
        leaves a truncated BENCH_sat.json behind. *)
@@ -733,5 +606,4 @@ let run ~smoke =
   miter_suite ~smoke;
   dimacs_suite ~smoke;
   simp_suite ~smoke;
-  dip_batch_suite ~smoke;
   write_json ()

@@ -97,10 +97,8 @@ let estimate_error ?pool ~prng ~samples locked oracle key =
       float_of_int bad /. float_of_int samples)
 
 let run ?(prng = Prng.create 0xA99) ?(target_error = 0.01) ?(check_every = 5)
-    ?(samples = 512) ?(max_iterations = 1000) ?(dip_batch = 1) ?pool locked ~oracle =
+    ?(samples = 512) ?(max_iterations = 1000) ?pool locked ~oracle =
   if Circuit.num_keys locked = 0 then invalid_arg "Appsat.run: circuit has no keys";
-  if dip_batch < 1 || dip_batch > 64 then
-    invalid_arg "Appsat.run: dip_batch must be in [1, 64]";
   if Circuit.num_inputs locked <> Oracle.num_inputs oracle then
     invalid_arg "Appsat.run: oracle input count mismatch";
   let started = Timer.now () in
@@ -147,45 +145,6 @@ let run ?(prng = Prng.create 0xA99) ?(target_error = 0.01) ?(check_every = 5)
       total_time = Timer.now () -. started;
     }
   in
-  (* Enumerate up to [dip_batch] distinct DIPs from one solver session by
-     blocking each model under a per-round guard (the {!Sat_attack} batch
-     protocol), answer them in one packed oracle sweep, and encode the
-     whole round's constraints in one arena batch.  At [dip_batch = 1] the
-     loop is exactly the classic one-DIP-per-solve AppSAT. *)
-  let enumerate remaining first =
-    let budget = max 1 (min dip_batch remaining) in
-    let dips = Array.make budget [||] in
-    dips.(0) <- first;
-    let k = ref 1 in
-    if budget > 1 then begin
-      let en = (Tseitin.fresh_lits env 1).(0) in
-      Solver.freeze_var solver (Lit.var en);
-      let block model =
-        let cl =
-          Lit.negate en
-          :: Array.to_list
-               (Array.mapi
-                  (fun p l -> if model.(p) then Lit.negate l else l)
-                  input_lits)
-        in
-        Solver.add_clause solver cl
-      in
-      block first;
-      let continue_enum = ref true in
-      while !continue_enum && !k < budget do
-        match Solver.solve ~assumptions:[ act; en ] solver with
-        | Solver.Unsat -> continue_enum := false
-        | Solver.Sat ->
-            let d = Array.map (fun l -> Solver.value solver l) input_lits in
-            dips.(!k) <- d;
-            block d;
-            incr k
-      done;
-      Solver.add_clause solver [ Lit.negate en ];
-      Solver.unfreeze_var solver (Lit.var en)
-    end;
-    if !k = budget then dips else Array.sub dips 0 !k
-  in
   let rec loop i =
     if i >= max_iterations then
       let key = candidate_key () in
@@ -201,19 +160,13 @@ let run ?(prng = Prng.create 0xA99) ?(target_error = 0.01) ?(check_every = 5)
           let key = candidate_key () in
           finish ~exact:true ~dips:i key 0.0
       | Solver.Sat ->
-          let first = Array.map (fun l -> Solver.value solver l) input_lits in
-          let dips = enumerate (max_iterations - i) first in
-          let responses = Oracle.query_batch oracle dips in
-          let k = Array.length dips in
-          if k > 1 then
-            Tseitin.with_batch env (fun () ->
-                Array.iteri (fun j d -> add_constraint d responses.(j)) dips)
-          else add_constraint dips.(0) responses.(0);
-          Tel.Metric.add m_dips k;
-          Progress.add_dips k;
+          let dip = Array.map (fun l -> Solver.value solver l) input_lits in
+          add_constraint dip (Oracle.query oracle dip);
+          Tel.Metric.incr m_dips;
+          Progress.add_dips 1;
           Progress.add_rounds 1;
-          Progress.add_blocking_clauses k;
-          let i' = i + k in
+          Progress.add_blocking_clauses 1;
+          let i' = i + 1 in
           if i' / check_every > i / check_every then begin
             match candidate_key () with
             | None -> loop i'

@@ -25,22 +25,15 @@ val run :
   ?check_every:int ->
   ?samples:int ->
   ?max_iterations:int ->
-  ?dip_batch:int ->
   ?pool:Ll_runtime.Pool.t ->
   Ll_netlist.Circuit.t ->
   oracle:Oracle.t ->
   result
 (** Defaults: [target_error = 0.01], [check_every = 5] DIPs,
-    [samples = 512] random patterns per estimate, [max_iterations = 1000],
-    [dip_batch = 1].  Raises [Invalid_argument] like {!Sat_attack.run}.
-
-    [dip_batch] enumerates up to that many distinct DIPs per solver
-    session (blocking each model under a per-round guard assumption),
-    answers them in one packed oracle sweep and encodes their constraints
-    as one batch — the {!Sat_attack} batched-pipeline protocol; [1] is the
-    classic loop.  Error checks still happen every [check_every] DIPs
-    (at the first round boundary past each multiple).  Must be in
-    [\[1, 64\]].
+    [samples = 512] random patterns per estimate, [max_iterations = 1000].
+    Raises [Invalid_argument] like {!Sat_attack.run}.  Each solve yields
+    one DIP; the candidate key's error is estimated every [check_every]
+    DIPs.
 
     [pool] spreads each error estimate's random-pattern batches over a
     {!Ll_runtime.Pool}.  The batch structure and its [Prng.split] streams

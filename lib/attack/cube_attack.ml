@@ -309,7 +309,6 @@ let run_parallel_core ?(config = default_config) ?num_domains ?pool ?(seed = 0)
         in
         (true, Pool.create ~num_domains:(max 1 d) ())
   in
-  let config = { config with base = Cube_prep.strip_own_pool config.base pool } in
   let sh = make_shared config locked ~oracle ~seed ~buffer_logs:true in
   let seed_inputs, conditions = seed_cubes config sh.sh_rank in
   let t0 = Timer.monotonic () in

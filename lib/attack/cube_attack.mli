@@ -67,8 +67,8 @@ type config = {
   base : Sat_attack.config;
       (** per-cube attack configuration.  [solver_seed], [stop],
           [share_out], [share_in] and [log] are managed by the engine
-          and ignored; [interrupt], limits and [dip_batch] apply to
-          every cube *)
+          and ignored; [interrupt] and the limits apply to every
+          cube *)
 }
 
 val default_config : config

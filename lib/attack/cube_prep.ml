@@ -1,7 +1,6 @@
 module Circuit = Ll_netlist.Circuit
 module Prng = Ll_util.Prng
 module Timer = Ll_util.Timer
-module Pool = Ll_runtime.Pool
 module Tel = Ll_telemetry.Telemetry
 
 let m_subtasks = Tel.Metric.counter "split.tasks"
@@ -40,19 +39,6 @@ let cube_seed ~seed condition =
     condition
 
 let base_config = function Some c -> c | None -> Sat_attack.default_config
-
-(* The attack pool must not double as the oracle-sweep pool: the sweep is
-   awaited from inside a running task, and awaiting a task of the pool
-   one's own task runs on can deadlock.  Sub-attacks scheduled on [pool]
-   therefore run their sweeps inline when the two coincide. *)
-let strip_own_pool base pool =
-  match base.Sat_attack.dip_batch.Sat_attack.oracle_pool with
-  | Some p when p == pool ->
-      { base with
-        Sat_attack.dip_batch =
-          { base.Sat_attack.dip_batch with Sat_attack.oracle_pool = None }
-      }
-  | _ -> base
 
 (* One cofactor sub-attack over the shared preparation: the miter is
    synthesized, analysed and compiled exactly once per split attack (in

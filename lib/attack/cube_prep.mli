@@ -30,10 +30,6 @@ val cube_seed : seed:int -> (int * bool) list -> int
 
 val base_config : Sat_attack.config option -> Sat_attack.config
 
-val strip_own_pool : Sat_attack.config -> Ll_runtime.Pool.t -> Sat_attack.config
-(** Drop [dip_batch.oracle_pool] when it is the pool the sub-attacks
-    themselves run on (awaiting it from inside a task would deadlock). *)
-
 val run_task :
   ?index:int ->
   config:Sat_attack.config ->

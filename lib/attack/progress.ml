@@ -20,8 +20,8 @@ let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 
 (* EWMA time constant for the DIP rate: samples older than ~tau stop
-   mattering.  Short enough to track phase changes (enumerate vs encode
-   heavy rounds), long enough to smooth per-batch jitter. *)
+   mattering.  Short enough to track phase changes (cheap vs solve-heavy
+   DIPs), long enough to smooth per-DIP jitter. *)
 let rate_tau_s = 5.0
 
 type state = {
@@ -30,7 +30,6 @@ type state = {
   mutable rounds : int;
   mutable imported : int;
   mutable blocking_clauses : int;
-  mutable cur_q : int;
   mutable key_bits : int;
   mutable last_dip_ns : int;
   mutable dip_rate : float;  (* EWMA dips/s *)
@@ -51,7 +50,6 @@ let st =
     rounds = 0;
     imported = 0;
     blocking_clauses = 0;
-    cur_q = 1;
     key_bits = 0;
     last_dip_ns = 0;
     dip_rate = 0.0;
@@ -75,7 +73,6 @@ let reset () =
       st.rounds <- 0;
       st.imported <- 0;
       st.blocking_clauses <- 0;
-      st.cur_q <- 1;
       st.key_bits <- 0;
       st.last_dip_ns <- t;
       st.dip_rate <- 0.0;
@@ -117,8 +114,6 @@ let add_imported k =
 let add_blocking_clauses k =
   if enabled () && k > 0 then
     locked (fun () -> st.blocking_clauses <- st.blocking_clauses + k)
-
-let set_q q = if enabled () then locked (fun () -> st.cur_q <- q)
 
 let set_key_bits k =
   if enabled () then locked (fun () -> if k > st.key_bits then st.key_bits <- k)
@@ -164,7 +159,6 @@ type view = {
   v_rounds : int;
   v_imported : int;
   v_blocking_clauses : int;
-  v_q : int;
   v_dip_rate : float;
   v_key_bits : int;
   v_keyspace_log2 : float;
@@ -215,7 +209,6 @@ let view () =
         v_rounds = st.rounds;
         v_imported = st.imported;
         v_blocking_clauses = st.blocking_clauses;
-        v_q = st.cur_q;
         v_dip_rate = st.dip_rate;
         v_key_bits = st.key_bits;
         v_keyspace_log2 = keyspace_log2 ~key_bits:st.key_bits ~constraints;
@@ -233,8 +226,8 @@ let view () =
 
 let jsonl_line ?(t_ns = Timer.monotonic_ns ()) v =
   Printf.sprintf
-    "{\"type\":\"progress\",\"t_ns\":%d,\"elapsed_s\":%.3f,\"dips\":%d,\"rounds\":%d,\"imported\":%d,\"blocking_clauses\":%d,\"q\":%d,\"dip_rate\":%.6g,\"key_bits\":%d,\"keyspace_log2\":%.6g,\"cubes\":{\"pending\":%d,\"running\":%d,\"solved\":%d,\"stopped\":%d},\"coverage\":%.6g,\"eta_s\":%.6g}"
-    t_ns v.v_elapsed_s v.v_dips v.v_rounds v.v_imported v.v_blocking_clauses v.v_q
+    "{\"type\":\"progress\",\"t_ns\":%d,\"elapsed_s\":%.3f,\"dips\":%d,\"rounds\":%d,\"imported\":%d,\"blocking_clauses\":%d,\"dip_rate\":%.6g,\"key_bits\":%d,\"keyspace_log2\":%.6g,\"cubes\":{\"pending\":%d,\"running\":%d,\"solved\":%d,\"stopped\":%d},\"coverage\":%.6g,\"eta_s\":%.6g}"
+    t_ns v.v_elapsed_s v.v_dips v.v_rounds v.v_imported v.v_blocking_clauses
     v.v_dip_rate v.v_key_bits v.v_keyspace_log2 v.v_cubes_pending v.v_cubes_running
     v.v_cubes_solved v.v_cubes_stopped v.v_coverage v.v_eta_s
 
@@ -257,5 +250,5 @@ let status_line v =
     if v.v_keyspace_log2 < 0.0 then ""
     else Printf.sprintf " | keys <= 2^%.1f" v.v_keyspace_log2
   in
-  Printf.sprintf "[%7.1fs] dips %d (%.1f/s, q=%d) rounds %d imported %d%s%s"
-    v.v_elapsed_s v.v_dips v.v_dip_rate v.v_q v.v_rounds v.v_imported keyspace cubes
+  Printf.sprintf "[%7.1fs] dips %d (%.1f/s) rounds %d imported %d%s%s"
+    v.v_elapsed_s v.v_dips v.v_dip_rate v.v_rounds v.v_imported keyspace cubes

@@ -40,9 +40,6 @@ val add_imported : int -> unit
 val add_blocking_clauses : int -> unit
 (** Model-blocking / DIP constraints added to the solver. *)
 
-val set_q : int -> unit
-(** The current batch width of the adaptive multi-DIP pipeline. *)
-
 val set_key_bits : int -> unit
 (** Key width of the attacked instance (max over concurrent attacks). *)
 
@@ -65,7 +62,6 @@ type view = {
   v_rounds : int;
   v_imported : int;
   v_blocking_clauses : int;
-  v_q : int;
   v_dip_rate : float;  (** EWMA, dips per second (tau = 5 s) *)
   v_key_bits : int;
   v_keyspace_log2 : float;

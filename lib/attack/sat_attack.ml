@@ -5,7 +5,6 @@ module Timer = Ll_util.Timer
 module Solver = Ll_sat.Solver
 module Tseitin = Ll_sat.Tseitin
 module Lit = Ll_sat.Lit
-module Pool = Ll_runtime.Pool
 module Tel = Ll_telemetry.Telemetry
 
 let m_dips = Tel.Metric.counter "attack.dips"
@@ -14,24 +13,9 @@ let m_oracle_queries = Tel.Metric.counter "attack.oracle_queries"
 
 let h_dip_solve = Tel.Metric.histogram "attack.dip_solve_s"
 
-let h_batch_dips = Tel.Metric.histogram "attack.batch_dips"
-
 let m_share_imported = Tel.Metric.counter "attack.share_imported"
 
 let m_share_exported = Tel.Metric.counter "attack.share_exported"
-
-type dip_batch = {
-  q : int;
-  q_max : int;
-  adaptive : bool;
-  oracle_pool : Pool.t option;
-}
-
-let default_dip_batch = { q = 1; q_max = 1; adaptive = false; oracle_pool = None }
-
-let batched ?pool ?(adaptive = true) ?(q_max = 64) q =
-  if q < 1 || q > 64 then invalid_arg "Sat_attack.batched: q must be in [1, 64]";
-  { q; q_max = min 64 (max q q_max); adaptive; oracle_pool = pool }
 
 (* Cross-cofactor constraint sharing (cube-and-conquer).  A session that
    attacks one cube can export every DIP constraint it learns as a
@@ -73,7 +57,6 @@ end
 
 type progress = {
   pg_dips : int;
-  pg_rounds : int;
   pg_imported : int;
   pg_conflicts : int;
   pg_propagations : int;
@@ -81,14 +64,12 @@ type progress = {
 }
 
 type config = {
-  simplify_constraints : bool;
   max_iterations : int option;
   time_limit : float option;
   log : (string -> unit) option;
   interrupt : (unit -> bool) option;
   solver_seed : int;
   solver_simp : bool;
-  dip_batch : dip_batch;
   stop : (progress -> bool) option;
   share_out : (Share.entry -> unit) option;
   share_in : Share.entry list list;
@@ -96,14 +77,12 @@ type config = {
 
 let default_config =
   {
-    simplify_constraints = true;
     max_iterations = None;
     time_limit = None;
     log = None;
     interrupt = None;
     solver_seed = 0;
     solver_simp = true;
-    dip_batch = default_dip_batch;
     stop = None;
     share_out = None;
     share_in = [];
@@ -231,75 +210,165 @@ let prep_inputs prep = prep.p_n_in
 let prep_gates prep = Circuit.gate_count prep.p_miter
 
 (* ------------------------------------------------------------------ *)
-(* Per-DIP constraint emission                                        *)
+(* Cross-cofactor sharing: import and export                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Force an encoded circuit's outputs to the observed oracle response. *)
-let constrain_outputs env outs response =
-  Array.iteri (fun i o -> Tseitin.force env o response.(i)) outs
+(* Replay the compatible DIP constraints of [banks] (learned by ancestor
+   cubes) into [solver] before the first solve and return the number of
+   entries imported.  Imported entries cost no solve and no oracle query;
+   [consistent] is the key-independent-output check applied to every
+   kept DIP/response pair. *)
+let import_shared solver ~n_shared ~condition ~consistent banks =
+  let imported = ref 0 in
+  let clauses_rev = ref [] in
+  List.iter
+    (fun bank ->
+      let entries = Array.of_list bank in
+      let n_entries = Array.length entries in
+      if n_entries > 0 then begin
+        (* The publisher's Tseitin cache hash-conses gate encodings
+           across its whole session, so an entry's clauses may reference
+           auxiliary variables whose defining clauses were emitted under
+           an earlier entry.  Non-unit clauses are pure definitions
+           (out = f(keys); satisfiable under any key assignment, so
+           importing them never excludes a key and is sound for any
+           cube); only the unit output-forcing clauses constrain keys to
+           the observed response, and a response is portable only when
+           its DIP lies inside this cube.
 
-(* Encode "C_l(dip, K) = y" for one key-literal vector.  With
-   simplification on, the key cone was compiled once up front and the
-   current DIP's cofactor sits in [scratch]; the emitter encodes just its
-   live key logic.  Otherwise a full copy with constant input literals is
-   added (the unpreprocessed baseline). *)
-let add_dip_constraint env ~cofactored ~locked ~key_lits ~dip ~response ~cone_response =
-  match cofactored with
-  | Some (prog, scratch) ->
-      let outs = Tseitin.encode_cofactored env prog scratch ~key_lits in
-      constrain_outputs env outs cone_response
-  | None ->
-      let t = Tseitin.lit_true env in
-      let input_lits =
-        Array.init (Array.length dip) (fun i -> if dip.(i) then t else Lit.negate t)
+           Importing every definition would make each receiver pay for
+           the full bank even when most forcings are dropped, so prune to
+           the cone of the kept forcings: canonical ids are assigned in
+           first-use order, which makes the max auxiliary id of a
+           definition clause its defined gate, so one backward sweep from
+           the compatible forcings keeps exactly the definitions they
+           transitively reference. *)
+        let max_var = ref (n_shared - 1) in
+        let compat = Array.make n_entries false in
+        Array.iteri
+          (fun i (e : Share.entry) ->
+            if e.Share.e_nshared <> n_shared then
+              invalid_arg
+                "Sat_attack.run_prepared: share entry from a different preparation";
+            compat.(i) <- Share.compatible e ~condition;
+            Array.iter
+              (Array.iter (fun l ->
+                   let v = Lit.var l in
+                   if v > !max_var then max_var := v))
+              e.Share.e_clauses)
+          entries;
+        let n_aux = !max_var + 1 - n_shared in
+        let needed = Bytes.make (max 1 n_aux) '\000' in
+        let keep =
+          Array.map
+            (fun (e : Share.entry) ->
+              Bytes.make (max 1 (Array.length e.Share.e_clauses)) '\000')
+            entries
+        in
+        for i = n_entries - 1 downto 0 do
+          let cls = entries.(i).Share.e_clauses in
+          for j = Array.length cls - 1 downto 0 do
+            let cl = cls.(j) in
+            if Array.length cl = 1 then begin
+              if compat.(i) then begin
+                Bytes.set keep.(i) j '\001';
+                let v = Lit.var cl.(0) in
+                if v >= n_shared then Bytes.set needed (v - n_shared) '\001'
+              end
+            end
+            else begin
+              let m = ref (-1) in
+              Array.iter
+                (fun l ->
+                  let v = Lit.var l in
+                  if v > !m && v >= n_shared then m := v)
+                cl;
+              if !m < 0 then Bytes.set keep.(i) j '\001'
+              else if Bytes.get needed (!m - n_shared) = '\001' then begin
+                Bytes.set keep.(i) j '\001';
+                Array.iter
+                  (fun l ->
+                    let v = Lit.var l in
+                    if v >= n_shared then Bytes.set needed (v - n_shared) '\001')
+                  cl
+              end
+            end
+          done
+        done;
+        (* Prefix variables map through the identity; each needed
+           auxiliary id gets one fresh variable per bank (entries of a
+           bank come from one publishing session, so their auxiliary ids
+           are mutually consistent). *)
+        let aux_map = Array.make (max 1 n_aux) (-1) in
+        let map_lit l =
+          let v = Lit.var l in
+          let v' =
+            if v < n_shared then v
+            else begin
+              let k = v - n_shared in
+              if aux_map.(k) < 0 then aux_map.(k) <- Solver.new_var solver;
+              aux_map.(k)
+            end
+          in
+          Lit.make v' (Lit.is_pos l)
+        in
+        Array.iteri
+          (fun i (e : Share.entry) ->
+            if compat.(i) then begin
+              (* The publisher observed this DIP/response; if it
+                 contradicts key-independent logic no key exists under
+                 this cube either — poison exactly like a local DIP. *)
+              if not (consistent e.Share.e_dip e.Share.e_response) then
+                Solver.add_clause solver [];
+              incr imported
+            end;
+            let cls = e.Share.e_clauses in
+            for j = 0 to Array.length cls - 1 do
+              if Bytes.get keep.(i) j = '\001' then
+                clauses_rev := Array.map map_lit cls.(j) :: !clauses_rev
+            done)
+          entries
+      end)
+    banks;
+  if !clauses_rev <> [] then ignore (Solver.import_clauses solver (List.rev !clauses_rev));
+  !imported
+
+(* The export side's literal map into the canonical space: prefix
+   variables stay, auxiliary variables get ids in first-use order across
+   the whole session, so the stream stays stable no matter how many
+   entries are exported. *)
+let canonicalizer ~n_shared =
+  let tbl = Hashtbl.create 64 and next = ref 0 in
+  fun l ->
+    let v = Lit.var l in
+    if v < n_shared then l
+    else
+      let id =
+        match Hashtbl.find_opt tbl v with
+        | Some id -> id
+        | None ->
+            let id = n_shared + !next in
+            incr next;
+            Hashtbl.add tbl v id;
+            id
       in
-      let outs = Tseitin.encode env locked ~input_lits ~key_lits in
-      constrain_outputs env outs response
+      Lit.make id (Lit.is_pos l)
 
 (* ------------------------------------------------------------------ *)
-(* The batched DIP pipeline                                           *)
+(* The DIP loop                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* One round of the attack is an explicit four-phase state machine:
-
-     Solve -> Enumerate -> Oracle_sweep -> Encode -> Solve -> ...
-
-   [Solve] runs the main miter solve under the activation assumption and
-   either finishes the attack (Unsat: extract the key) or hands its model
-   to [Enumerate], which blocks each found input assignment under a fresh
-   per-round guard literal and re-solves until up to [q] distinct DIPs are
-   in hand.  [Oracle_sweep] answers all of them in one packed pass
-   (optionally on a runtime pool, overlapped with the per-DIP ternary
-   cofactor sweeps), and [Encode] appends every model-blocking constraint
-   as one arena batch, retires the round's guard and updates the adaptive
-   [q].  Each phase is a [step_*] function over the mutable session below:
-   the driver is a trivial loop, and a future resumable-job daemon can
-   interleave sessions at phase granularity. *)
-
-type round_state = {
-  mutable b_dips : bool array array;  (** models found this round, [0..b_k) *)
-  mutable b_k : int;
-  mutable b_budget : int;  (** enumeration target for this round *)
-  mutable b_en : Lit.t option;  (** per-round enumeration guard *)
-  mutable b_early_unsat : bool;  (** enumeration ran dry before the budget *)
-  mutable b_enum_time : float;  (** time in enumeration solves *)
-  mutable b_main_dt : float;  (** time of this round's main solve *)
-  mutable b_wit1 : bool array array;  (** witness key A per model (adaptive) *)
-  mutable b_wit2 : bool array array;  (** witness key B per model (adaptive) *)
-  mutable b_responses : bool array array;
-}
-
-type phase = Solve | Enumerate | Oracle_sweep | Encode | Finished of result
-
+(* One DIP per miter solve, as in Alg. 1: solve under the activation
+   guard; on Sat read the DIP, query the oracle, and encode "both key
+   copies reproduce the response on this DIP"; on Unsat no DIP is left
+   and any key satisfying the constraints is correct.  The limits and
+   hooks of [config] are polled before every solve. *)
 let run_prepared_core ~config prep ~condition ~oracle =
   let locked = prep.p_locked in
   if Circuit.num_inputs locked <> Oracle.num_inputs oracle then
     invalid_arg "Sat_attack.run: oracle input count mismatch";
   if Circuit.num_outputs locked <> Oracle.num_outputs oracle then
     invalid_arg "Sat_attack.run: oracle output count mismatch";
-  let db = config.dip_batch in
-  if db.q < 1 || db.q > 64 || db.q_max < db.q || db.q_max > 64 then
-    invalid_arg "Sat_attack.run: dip_batch q must satisfy 1 <= q <= q_max <= 64";
   let n_in = prep.p_n_in and n_key = prep.p_n_key in
   let pinned = Array.make n_in None in
   List.iter
@@ -344,18 +413,9 @@ let run_prepared_core ~config prep ~condition ~oracle =
      guard), so every session over the same prep owns an identical prefix
      and clauses over it transfer between sessions unchanged. *)
   let n_shared = Solver.num_vars solver in
-  (* Scratches for the in-place ternary cofactor sweeps — one per in-flight
-     DIP of a batch, grown on demand, owned by this run's domain. *)
-  let scratches = ref [||] in
-  let scratch_for i =
-    if i >= Array.length !scratches then begin
-      let old = !scratches in
-      scratches :=
-        Array.init (i + 1) (fun j ->
-            if j < Array.length old then old.(j) else Compiled.scratch prep.p_cone_prog)
-    end;
-    (!scratches).(i)
-  in
+  (* Scratch for the in-place ternary cofactor sweep of the key cone,
+     owned by this run's domain. *)
+  let scratch = Compiled.scratch prep.p_cone_prog in
   let indep =
     match prep.p_indep with
     | None -> None
@@ -380,541 +440,158 @@ let run_prepared_core ~config prep ~condition ~oracle =
       |> List.filteri (fun i _ -> prep.p_output_key_dep.(i))
       |> Array.of_list
   in
-  (* --- Clause-sharing import: replay compatible DIP constraints learned
-     by ancestor cubes before the first solve.  Prefix variables map
-     through the identity; each unseen auxiliary id gets one fresh
-     variable per bank (entries of a bank come from one publishing
-     session, so their auxiliary ids are mutually consistent).  Imported
-     entries cost no solve and no oracle query. --- *)
-  let imported = ref 0 in
-  (if config.share_in <> [] then begin
-     if Tel.enabled () then Tel.span_begin "attack.share_import";
-     let clauses_rev = ref [] in
-     List.iter
-       (fun bank ->
-         let entries = Array.of_list bank in
-         let n_entries = Array.length entries in
-         if n_entries > 0 then begin
-           (* The publisher's Tseitin cache hash-conses gate encodings
-              across its whole session, so an entry's clauses may
-              reference auxiliary variables whose defining clauses were
-              emitted under an earlier entry.  Non-unit clauses are pure
-              definitions (out = f(keys); satisfiable under any key
-              assignment, so importing them never excludes a key and is
-              sound for any cube); only the unit output-forcing clauses
-              constrain keys to the observed response, and a response is
-              portable only when its DIP lies inside this cube.
-
-              Importing every definition would make each receiver pay
-              for the full bank even when most forcings are dropped, so
-              prune to the cone of the kept forcings: canonical ids are
-              assigned in first-use order, which makes the max auxiliary
-              id of a definition clause its defined gate, so one
-              backward sweep from the compatible forcings keeps exactly
-              the definitions they transitively reference. *)
-           let max_var = ref (n_shared - 1) in
-           let compat = Array.make n_entries false in
-           Array.iteri
-             (fun i (e : Share.entry) ->
-               if e.Share.e_nshared <> n_shared then
-                 invalid_arg
-                   "Sat_attack.run_prepared: share entry from a different \
-                    preparation";
-               compat.(i) <- Share.compatible e ~condition;
-               Array.iter
-                 (Array.iter (fun l ->
-                      let v = Lit.var l in
-                      if v > !max_var then max_var := v))
-                 e.Share.e_clauses)
-             entries;
-           let n_aux = !max_var + 1 - n_shared in
-           let needed = Bytes.make (max 1 n_aux) '\000' in
-           let keep =
-             Array.map
-               (fun (e : Share.entry) ->
-                 Bytes.make (max 1 (Array.length e.Share.e_clauses)) '\000')
-               entries
-           in
-           for i = n_entries - 1 downto 0 do
-             let cls = entries.(i).Share.e_clauses in
-             for j = Array.length cls - 1 downto 0 do
-               let cl = cls.(j) in
-               if Array.length cl = 1 then begin
-                 if compat.(i) then begin
-                   Bytes.set keep.(i) j '\001';
-                   let v = Lit.var cl.(0) in
-                   if v >= n_shared then Bytes.set needed (v - n_shared) '\001'
-                 end
-               end
-               else begin
-                 let m = ref (-1) in
-                 Array.iter
-                   (fun l ->
-                     let v = Lit.var l in
-                     if v > !m && v >= n_shared then m := v)
-                   cl;
-                 if !m < 0 then Bytes.set keep.(i) j '\001'
-                 else if Bytes.get needed (!m - n_shared) = '\001' then begin
-                   Bytes.set keep.(i) j '\001';
-                   Array.iter
-                     (fun l ->
-                       let v = Lit.var l in
-                       if v >= n_shared then
-                         Bytes.set needed (v - n_shared) '\001')
-                     cl
-                 end
-               end
-             done
-           done;
-           (* Prefix variables map through the identity; each needed
-              auxiliary id gets one fresh variable per bank (entries of
-              a bank come from one publishing session, so their
-              auxiliary ids are mutually consistent).  Imported entries
-              cost no solve and no oracle query. *)
-           let aux_map = Array.make (max 1 n_aux) (-1) in
-           let map_lit l =
-             let v = Lit.var l in
-             let v' =
-               if v < n_shared then v
-               else begin
-                 let k = v - n_shared in
-                 if aux_map.(k) < 0 then aux_map.(k) <- Solver.new_var solver;
-                 aux_map.(k)
-               end
-             in
-             Lit.make v' (Lit.is_pos l)
-           in
-           Array.iteri
-             (fun i (e : Share.entry) ->
-               if compat.(i) then begin
-                 (* The publisher observed this DIP/response; if it
-                    contradicts key-independent logic no key exists under
-                    this cube either — poison exactly like a local DIP. *)
-                 if not (indep_outputs_match e.Share.e_dip e.Share.e_response)
-                 then Solver.add_clause solver [];
-                 incr imported
-               end;
-               let cls = e.Share.e_clauses in
-               for j = 0 to Array.length cls - 1 do
-                 if Bytes.get keep.(i) j = '\001' then
-                   clauses_rev := Array.map map_lit cls.(j) :: !clauses_rev
-               done)
-             entries
-         end)
-       config.share_in;
-     if !clauses_rev <> [] then
-       ignore (Solver.import_clauses solver (List.rev !clauses_rev));
-     Tel.Metric.add m_share_imported !imported;
-     Progress.add_imported !imported;
-     if Tel.enabled () then Tel.span_end ~v:!imported ()
-   end);
-  (* --- Clause-sharing export: canonical auxiliary ids, assigned in
-     first-use order across the whole session so the stream stays stable
-     no matter how many entries are exported. --- *)
-  let canon_tbl = Hashtbl.create 64 and canon_next = ref 0 in
-  let canon_lit l =
-    let v = Lit.var l in
-    if v < n_shared then l
-    else
-      let id =
-        match Hashtbl.find_opt canon_tbl v with
-        | Some id -> id
-        | None ->
-            let id = n_shared + !canon_next in
-            incr canon_next;
-            Hashtbl.add canon_tbl v id;
-            id
+  let imported =
+    if config.share_in = [] then 0
+    else begin
+      if Tel.enabled () then Tel.span_begin "attack.share_import";
+      let k =
+        import_shared solver ~n_shared ~condition ~consistent:indep_outputs_match
+          config.share_in
       in
-      Lit.make id (Lit.is_pos l)
+      Tel.Metric.add m_share_imported k;
+      Progress.add_imported k;
+      if Tel.enabled () then Tel.span_end ~v:k ();
+      k
+    end
+  in
+  (* Encode "C_l(dip, K) = y" for both key copies over the DIP's cofactor
+     of the key cone (already in [scratch]): the emitter encodes just its
+     live key logic. *)
+  let encode_plain response =
+    let cone_response = cone_response_of response in
+    List.iter
+      (fun key_lits ->
+        let outs = Tseitin.encode_cofactored env prep.p_cone_prog scratch ~key_lits in
+        Array.iteri (fun i o -> Tseitin.force env o cone_response.(i)) outs)
+      [ key1; key2 ]
+  in
+  (* With an export sink, tap the DIP's clause stream (both key copies)
+     and publish it canonicalized; the tap is read-only, so the clauses
+     reaching the solver — and hence the attack's behaviour — are
+     byte-identical with sharing on or off. *)
+  let encode_dip =
+    match config.share_out with
+    | None -> fun _dip response -> encode_plain response
+    | Some sink ->
+        let canon_lit = canonicalizer ~n_shared in
+        fun dip response ->
+          let buf_rev = ref [] in
+          Tseitin.with_tap env
+            (fun cl -> buf_rev := Array.map canon_lit cl :: !buf_rev)
+            (fun () -> encode_plain response);
+          Tel.Metric.incr m_share_exported;
+          sink
+            {
+              Share.e_dip = Array.copy dip;
+              e_response = Array.copy response;
+              e_nshared = n_shared;
+              e_clauses = Array.of_list (List.rev !buf_rev);
+            }
   in
   let solve_time = ref 0.0 in
   let timed_solve assumptions =
     let r, dt = Timer.time (fun () -> Solver.solve ~assumptions solver) in
     solve_time := !solve_time +. dt;
     if Tel.enabled () then Tel.Metric.observe h_dip_solve dt;
-    (r, dt)
+    r
+  in
+  let dips_rev = ref [] in
+  let num_dips = ref 0 in
+  let finish status key =
+    {
+      status;
+      key;
+      dips = List.rev !dips_rev;
+      num_dips = !num_dips;
+      rounds = !num_dips;
+      oracle_queries = !num_dips;
+      total_time = Timer.monotonic () -. started;
+      solve_time = !solve_time;
+      solver_conflicts = (Solver.stats solver).Solver.conflicts;
+      imported;
+    }
+  in
+  let over_iterations () =
+    match config.max_iterations with Some m -> !num_dips >= m | None -> false
   in
   let over_time () =
     match config.time_limit with
     | Some limit -> Timer.monotonic () -. started > limit
     | None -> false
   in
-  let over_iterations i =
-    match config.max_iterations with Some m -> i >= m | None -> false
-  in
-  let interrupted () =
-    match config.interrupt with Some f -> f () | None -> false
-  in
-  (* The adaptive cube controller's difficulty budget, polled between
-     rounds like the other limits.  Conflict/propagation counts are
-     deterministic for a fixed seed, so budgets expressed in them make
-     re-split decisions reproducible; wall-clock budgets trade that for
-     responsiveness. *)
-  let stop_requested ~num_dips ~rounds ~imported =
+  let interrupted () = match config.interrupt with Some f -> f () | None -> false in
+  (* The adaptive cube controller's difficulty budget.  Conflict and
+     propagation counts are deterministic for a fixed seed, so budgets
+     expressed in them make re-split decisions reproducible; wall-clock
+     budgets trade that for responsiveness. *)
+  let stop_requested () =
     match config.stop with
     | None -> false
     | Some f ->
         let st = Solver.stats solver in
         f
           {
-            pg_dips = num_dips;
-            pg_rounds = rounds;
+            pg_dips = !num_dips;
             pg_imported = imported;
             pg_conflicts = st.Solver.conflicts;
             pg_propagations = st.Solver.propagations;
             pg_elapsed = Timer.monotonic () -. started;
           }
   in
-  let queries_made = ref 0 in
-  (* Session state of the machine. *)
-  let dips_rev = ref [] in
-  let num_dips = ref 0 in
-  let rounds = ref 0 in
-  let cur_q = ref (min db.q db.q_max) in
-  let batching = db.q_max > 1 in
-  let round =
-    {
-      b_dips = [||];
-      b_k = 0;
-      b_budget = 1;
-      b_en = None;
-      b_early_unsat = false;
-      b_enum_time = 0.0;
-      b_main_dt = 0.0;
-      b_wit1 = [||];
-      b_wit2 = [||];
-      b_responses = [||];
-    }
-  in
-  let phase = ref Solve in
-  let finish status key =
-    phase :=
-      Finished
-        {
-          status;
-          key;
-          dips = List.rev !dips_rev;
-          num_dips = !num_dips;
-          rounds = !rounds;
-          oracle_queries = !queries_made;
-          total_time = Timer.monotonic () -. started;
-          solve_time = !solve_time;
-          solver_conflicts = (Solver.stats solver).Solver.conflicts;
-          imported = !imported;
-        }
-  in
-  let model_of lits = Array.map (fun l -> Solver.value solver l) lits in
-  (* --- Solve: the main miter solve under the activation guard. --- *)
-  let step_solve () =
-    if over_iterations !num_dips then finish Iteration_limit None
+  let rec loop () =
+    if over_iterations () then finish Iteration_limit None
     else if over_time () then finish Time_limit None
     else if interrupted () then finish Cancelled None
-    else if
-      stop_requested ~num_dips:!num_dips ~rounds:!rounds ~imported:!imported
-    then finish Stopped None
+    else if stop_requested () then finish Stopped None
     else begin
-      (* One span per round: a0 = round index; closed with v = the
-         cofactored cone's symbolic (key-dependent) node count (Sat) or -1
-         (Unsat, i.e. the final solve that proves no DIP remains). *)
-      if Tel.enabled () then Tel.span_begin ~a0:!rounds "attack.dip";
+      (* One span per DIP: a0 = DIP index; closed with v = the cofactored
+         cone's symbolic (key-dependent) node count (Sat) or -1 (Unsat,
+         i.e. the final solve that proves no DIP remains). *)
+      if Tel.enabled () then Tel.span_begin ~a0:!num_dips "attack.dip";
       match timed_solve [ act ] with
-      | Solver.Unsat, _ ->
+      | Solver.Unsat ->
           (* No DIP left: extract any surviving key. *)
           let key =
             match timed_solve [ Lit.negate act ] with
-            | Solver.Sat, _ ->
+            | Solver.Sat ->
                 Some (Bitvec.init n_key (fun k -> Solver.value solver key1.(k)))
-            | Solver.Unsat, _ -> None
+            | Solver.Unsat -> None
           in
           if Tel.enabled () then Tel.span_end ~v:(-1) ();
           finish Broken key
-      | Solver.Sat, dt ->
-          let budget =
-            match config.max_iterations with
-            | Some m -> max 1 (min !cur_q (m - !num_dips))
-            | None -> !cur_q
+      | Solver.Sat ->
+          let dip = Array.map (fun l -> Solver.value solver l) input_lits in
+          let response = Oracle.query oracle dip in
+          Tel.Metric.incr m_oracle_queries;
+          Compiled.cofactor_into prep.p_cone_prog scratch ~inputs:dip;
+          (* An oracle that contradicts key-independent logic leaves no
+             key that can reproduce it: poison the solver so the attack
+             reports Broken with no surviving key, as the unrestricted
+             encoding would have. *)
+          if not (indep_outputs_match dip response) then Solver.add_clause solver [];
+          encode_dip dip response;
+          Tel.Metric.incr m_dips;
+          incr num_dips;
+          if Tel.log_active () then
+            Tel.log_line
+              (Printf.sprintf "iter %d: dip=%s response=%s" !num_dips
+                 (Bitvec.to_string (Bitvec.of_bool_array dip))
+                 (Bitvec.to_string (Bitvec.of_bool_array response)));
+          (* Sub-attacks report DIPs over their free inputs, in original
+             relative order — the cube part is implied by the condition. *)
+          let narrow =
+            if Array.length free_pos = n_in then dip
+            else Array.map (fun p -> dip.(p)) free_pos
           in
-          round.b_dips <- Array.make budget [||];
-          round.b_dips.(0) <- model_of input_lits;
-          round.b_k <- 1;
-          round.b_budget <- budget;
-          round.b_en <- None;
-          round.b_early_unsat <- false;
-          round.b_enum_time <- 0.0;
-          round.b_main_dt <- dt;
-          if db.adaptive && budget > 1 then begin
-            round.b_wit1 <- Array.make budget [||];
-            round.b_wit2 <- Array.make budget [||];
-            round.b_wit1.(0) <- model_of key1;
-            round.b_wit2.(0) <- model_of key2
-          end;
-          phase := Enumerate
+          dips_rev := Bitvec.of_bool_array narrow :: !dips_rev;
+          Progress.add_dips 1;
+          Progress.add_rounds 1;
+          Progress.add_blocking_clauses 1;
+          if Tel.enabled () then Tel.span_end ~v:(Compiled.unknown_count scratch) ();
+          loop ()
     end
   in
-  (* --- Enumerate: block each model under a per-round guard and re-solve
-     until the budget is met or the miter runs dry. --- *)
-  let block en model =
-    let cl = Array.make (Array.length free_pos + 1) (Lit.negate en) in
-    Array.iteri
-      (fun j p ->
-        cl.(j + 1) <- (if model.(p) then Lit.negate input_lits.(p) else input_lits.(p)))
-      free_pos;
-    Solver.add_clause_a solver cl
-  in
-  let step_enumerate () =
-    if round.b_budget > 1 then begin
-      if Tel.enabled () then Tel.span_begin ~a0:round.b_budget "attack.enumerate";
-      (* The guard is an assumption of every enumeration solve, so it gets
-         the same frozen-literal protocol as [act]; it is released (and
-         unfrozen) when the round's constraints are encoded. *)
-      let en = (Tseitin.fresh_lits env 1).(0) in
-      Solver.freeze_var solver (Lit.var en);
-      round.b_en <- Some en;
-      block en round.b_dips.(0);
-      let continue_enum = ref true in
-      while
-        !continue_enum && round.b_k < round.b_budget
-        && not (over_time ())
-        && not (interrupted ())
-      do
-        match timed_solve [ act; en ] with
-        | Solver.Unsat, dt ->
-            round.b_enum_time <- round.b_enum_time +. dt;
-            round.b_early_unsat <- true;
-            continue_enum := false
-        | Solver.Sat, dt ->
-            round.b_enum_time <- round.b_enum_time +. dt;
-            let d = model_of input_lits in
-            round.b_dips.(round.b_k) <- d;
-            if db.adaptive then begin
-              round.b_wit1.(round.b_k) <- model_of key1;
-              round.b_wit2.(round.b_k) <- model_of key2
-            end;
-            block en d;
-            round.b_k <- round.b_k + 1
-      done;
-      if round.b_k < Array.length round.b_dips then begin
-        round.b_dips <- Array.sub round.b_dips 0 round.b_k;
-        if db.adaptive then begin
-          round.b_wit1 <- Array.sub round.b_wit1 0 round.b_k;
-          round.b_wit2 <- Array.sub round.b_wit2 0 round.b_k
-        end
-      end;
-      if Tel.enabled () then Tel.span_end ~v:round.b_k ()
-    end
-    else if round.b_k < Array.length round.b_dips then
-      round.b_dips <- Array.sub round.b_dips 0 round.b_k;
-    phase := Oracle_sweep
-  in
-  (* --- Oracle_sweep: one packed pass answers the whole batch; when a
-     pool is given the sweep runs there while this domain performs the
-     per-DIP ternary cofactor sweeps, so neither waits on the other. --- *)
-  let cofactor_all () =
-    if config.simplify_constraints then
-      for j = 0 to round.b_k - 1 do
-        Compiled.cofactor_into prep.p_cone_prog (scratch_for j) ~inputs:round.b_dips.(j)
-      done
-  in
-  let step_oracle () =
-    let k = round.b_k in
-    if batching && Tel.enabled () then Tel.span_begin ~a0:k "attack.oracle_batch";
-    let responses =
-      match db.oracle_pool with
-      | Some pool when k > 1 ->
-          let handle = Pool.submit pool (fun _ctx -> Oracle.query_batch oracle round.b_dips) in
-          cofactor_all ();
-          (match Pool.await handle with
-          | Pool.Done r -> r
-          | Pool.Cancelled -> Oracle.query_batch oracle round.b_dips
-          | Pool.Failed e -> raise e)
-      | _ ->
-          let r = Oracle.query_batch oracle round.b_dips in
-          cofactor_all ();
-          r
-    in
-    queries_made := !queries_made + k;
-    Tel.Metric.add m_oracle_queries k;
-    if batching && Tel.enabled () then Tel.span_end ~v:k ();
-    round.b_responses <- responses;
-    phase := Encode
-  in
-  (* --- Adaptive q: a batch member is useful when its witness key pair
-     still reproduces the oracle on every earlier DIP of the same batch —
-     i.e. the enumeration produced information the earlier constraints
-     would not already have ruled out.  Low yield (or running dry) shrinks
-     q; high yield with enumeration cheap relative to the main solve grows
-     it. --- *)
-  let batch_yield () =
-    let k = round.b_k in
-    let prog = Compiled.cached locked in
-    let scratch = Compiled.local_scratch prog in
-    let n_out = Circuit.num_outputs locked in
-    let pack get =
-      Array.init n_in (fun p ->
-          let w = ref 0L in
-          for l = 0 to k - 1 do
-            if get l p then w := Int64.logor !w (Int64.shift_left 1L l)
-          done;
-          !w)
-    in
-    let in_lanes = pack (fun l p -> round.b_dips.(l).(p)) in
-    let resp_lanes =
-      Array.init n_out (fun o ->
-          let w = ref 0L in
-          for l = 0 to k - 1 do
-            if round.b_responses.(l).(o) then w := Int64.logor !w (Int64.shift_left 1L l)
-          done;
-          !w)
-    in
-    let useful = ref 1 in
-    for j = 1 to k - 1 do
-      let mask = Int64.sub (Int64.shift_left 1L j) 1L in
-      let agrees key =
-        let key_lanes = Array.map (fun b -> if b then -1L else 0L) key in
-        Compiled.eval_lanes_into prog scratch ~inputs:in_lanes ~keys:key_lanes;
-        let ok = ref true in
-        for o = 0 to n_out - 1 do
-          if
-            Int64.logand
-              (Int64.logxor (Compiled.output_lanes prog scratch o) resp_lanes.(o))
-              mask
-            <> 0L
-          then ok := false
-        done;
-        !ok
-      in
-      if agrees round.b_wit1.(j) && agrees round.b_wit2.(j) then incr useful
-    done;
-    !useful
-  in
-  let adapt () =
-    if db.adaptive then begin
-      let k = round.b_k in
-      let useful = if k <= 1 then k else batch_yield () in
-      if round.b_early_unsat then cur_q := max 1 ((k + 1) / 2)
-      else if 2 * useful < k then cur_q := max 1 (!cur_q / 2)
-      else begin
-        let mean_enum =
-          if k > 1 then round.b_enum_time /. float_of_int (k - 1) else 0.0
-        in
-        if 4 * useful >= 3 * k && mean_enum <= round.b_main_dt then
-          cur_q := min db.q_max (!cur_q * 2)
-      end
-    end
-  in
-  (* --- Encode: consistency-check and append every DIP constraint of the
-     round; the whole batch flushes as one arena append. --- *)
-  let step_encode () =
-    let k = round.b_k in
-    if batching && Tel.enabled () then Tel.span_begin ~a0:k "attack.encode_batch";
-    for j = 0 to k - 1 do
-      if not (indep_outputs_match round.b_dips.(j) round.b_responses.(j)) then
-        (* The oracle contradicts key-independent logic: no key can
-           reproduce it.  Poison the solver so the attack reports Broken
-           with no surviving key, as the unrestricted encoding would
-           have. *)
-        Solver.add_clause solver []
-    done;
-    let encode_plain j =
-      let dip = round.b_dips.(j) and response = round.b_responses.(j) in
-      let cofactored =
-        if config.simplify_constraints then Some (prep.p_cone_prog, scratch_for j)
-        else None
-      in
-      let cone_response = cone_response_of response in
-      add_dip_constraint env ~cofactored ~locked ~key_lits:key1 ~dip ~response
-        ~cone_response;
-      add_dip_constraint env ~cofactored ~locked ~key_lits:key2 ~dip ~response
-        ~cone_response
-    in
-    (* With an export sink, tap the DIP's clause stream (both key copies)
-       and publish it canonicalized; the tap is read-only, so the clauses
-       reaching the solver — and hence the attack's behaviour — are
-       byte-identical with sharing on or off. *)
-    let encode_one j =
-      match config.share_out with
-      | None -> encode_plain j
-      | Some sink ->
-          let buf_rev = ref [] in
-          Tseitin.with_tap env
-            (fun cl -> buf_rev := Array.map canon_lit cl :: !buf_rev)
-            (fun () -> encode_plain j);
-          Tel.Metric.incr m_share_exported;
-          sink
-            {
-              Share.e_dip = Array.copy round.b_dips.(j);
-              e_response = Array.copy round.b_responses.(j);
-              e_nshared = n_shared;
-              e_clauses = Array.of_list (List.rev !buf_rev);
-            }
-    in
-    if k > 1 then
-      Tseitin.with_batch env (fun () ->
-          for j = 0 to k - 1 do
-            encode_one j
-          done)
-    else encode_one 0;
-    (* Retire the round's guard: a unit kills every blocking clause, and
-       unfreezing lets inprocessing reclaim the variable. *)
-    (match round.b_en with
-    | Some en ->
-        Solver.add_clause solver [ Lit.negate en ];
-        Solver.unfreeze_var solver (Lit.var en);
-        round.b_en <- None
-    | None -> ());
-    Tel.Metric.add m_dips k;
-    if Tel.log_active () then
-      for j = 0 to k - 1 do
-        Tel.log_line
-          (Printf.sprintf "iter %d: dip=%s response=%s"
-             (!num_dips + j + 1)
-             (Bitvec.to_string (Bitvec.of_bool_array round.b_dips.(j)))
-             (Bitvec.to_string (Bitvec.of_bool_array round.b_responses.(j))))
-      done;
-    for j = 0 to k - 1 do
-      (* Sub-attacks report DIPs over their free inputs, in original
-         relative order — the cube part is implied by the condition. *)
-      let d = round.b_dips.(j) in
-      let narrow =
-        if Array.length free_pos = n_in then d else Array.map (fun p -> d.(p)) free_pos
-      in
-      dips_rev := Bitvec.of_bool_array narrow :: !dips_rev
-    done;
-    num_dips := !num_dips + k;
-    rounds := !rounds + 1;
-    Progress.add_dips k;
-    Progress.add_rounds 1;
-    Progress.add_blocking_clauses k;
-    if batching && Tel.enabled () then Tel.span_end ~v:k ();
-    if Tel.enabled () then begin
-      if batching then Tel.Metric.observe h_batch_dips (float_of_int k);
-      let cone_size =
-        if config.simplify_constraints then Compiled.unknown_count (scratch_for (k - 1))
-        else Circuit.gate_count locked
-      in
-      Tel.span_end ~v:cone_size ()
-    end;
-    adapt ();
-    Progress.set_q !cur_q;
-    phase := Solve
-  in
-  let rec drive () =
-    match !phase with
-    | Finished r -> r
-    | Solve ->
-        step_solve ();
-        drive ()
-    | Enumerate ->
-        step_enumerate ();
-        drive ()
-    | Oracle_sweep ->
-        step_oracle ();
-        drive ()
-    | Encode ->
-        step_encode ();
-        drive ()
-  in
-  drive ()
+  loop ()
 
 (* A caller-supplied [log] callback becomes a telemetry log subscriber for
    the dynamic extent of the attack on this domain: attack iterations emit

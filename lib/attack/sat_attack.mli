@@ -9,42 +9,10 @@
 
     The miter's "find a difference" clause is guarded by an activation
     literal, so the final key extraction reuses the same incremental solver
-    with the guard released.
-
-    {2 Batched DIP pipeline}
-
-    Each round of the DIP loop may extract up to [q] distinct DIPs from
-    one solver session (AppSAT-style model enumeration under a per-round
-    guard assumption), answer all of them in one 64-lane packed oracle
-    sweep, and append all their key constraints as one contiguous arena
-    batch — amortizing oracle and encoding cost across the batch while
-    the set of eliminated keys per round only grows.  At [q = 1] the
-    pipeline is the classic loop, byte-identical to earlier releases
-    (same clause stream, same DIP sequence). *)
-
-type dip_batch = {
-  q : int;  (** DIPs enumerated per round (initial value when adaptive) *)
-  q_max : int;  (** upper bound for adaptive growth; [q <= q_max <= 64] *)
-  adaptive : bool;
-      (** shrink [q] when enumerated DIPs stop being distinguishing (their
-          witness keys were already ruled out by earlier members of the
-          same batch) or the miter runs dry mid-batch; grow it when the
-          batch yield is high and enumeration solves are cheap relative to
-          the round's main solve *)
-  oracle_pool : Ll_runtime.Pool.t option;
-      (** run each round's packed oracle sweep on this pool, overlapped
-          with the per-DIP cofactor sweeps on the attack's domain.  Must
-          not be the pool executing the attack itself (the sweep is
-          awaited from inside the attack). *)
-}
-
-val default_dip_batch : dip_batch
-(** [q = 1], non-adaptive, no pool: the classic one-DIP-per-solve loop. *)
-
-val batched : ?pool:Ll_runtime.Pool.t -> ?adaptive:bool -> ?q_max:int -> int -> dip_batch
-(** [batched q] — a batched configuration starting at [q] DIPs per round,
-    adaptive by default, [q_max] defaulting to 64.  Raises
-    [Invalid_argument] unless [1 <= q <= 64]. *)
+    with the guard released.  Each miter solve yields one DIP (Alg. 1 of
+    the paper); the DIP's constraint is the key cone cofactored on the
+    DIP by a compiled ternary sweep, so only its live key logic is
+    encoded. *)
 
 (** {2 Cross-cofactor clause sharing}
 
@@ -80,23 +48,19 @@ end
 
 type progress = {
   pg_dips : int;  (** DIPs accumulated so far *)
-  pg_rounds : int;  (** batch rounds executed *)
   pg_imported : int;  (** share entries imported at session start *)
   pg_conflicts : int;  (** solver conflicts so far (deterministic) *)
   pg_propagations : int;  (** solver propagations so far (deterministic) *)
   pg_elapsed : float;  (** wall-clock seconds since the session started *)
 }
-(** Snapshot handed to {!config.stop} between rounds. *)
+(** Snapshot handed to {!config.stop} before every solve. *)
 
 type config = {
-  simplify_constraints : bool;
-      (** Constant-propagate each DIP constraint before encoding it (the
-          standard preprocessing; disable for the ablation study). *)
   max_iterations : int option;  (** DIP budget; [None] = unlimited *)
-  time_limit : float option;  (** wall-clock seconds; checked between rounds *)
+  time_limit : float option;  (** wall-clock seconds; checked before every solve *)
   log : (string -> unit) option;  (** per-DIP progress callback *)
   interrupt : (unit -> bool) option;
-      (** cooperative cancellation hook, polled between rounds; when it
+      (** cooperative cancellation hook, polled before every solve; when it
           returns [true] the attack stops with status {!Cancelled}.  Used by
           the parallel split attack to abandon sub-attacks early once a
           sibling has failed. *)
@@ -110,10 +74,8 @@ type config = {
           variable elimination, vivification) on the attack's incremental
           CNF (default [true]; disable for A/B comparison — see the
           [bench-sat-simp-smoke] alias). *)
-  dip_batch : dip_batch;
-      (** batched DIP pipeline control (default {!default_dip_batch}). *)
   stop : (progress -> bool) option;
-      (** difficulty-budget hook, polled between rounds like the other
+      (** difficulty-budget hook, polled before every solve like the other
           limits; returning [true] ends the session with status
           {!Stopped}.  The adaptive cube controller uses it to preempt a
           cofactor that exceeded its budget and re-split it.  Budgets
@@ -133,8 +95,7 @@ type config = {
 }
 
 val default_config : config
-(** No limits, no sharing, classic pipeline — byte-identical to earlier
-    releases. *)
+(** No limits, no sharing, inprocessing on, solver seed 0. *)
 
 type status =
   | Broken  (** miter proved UNSAT; the returned key is functionally correct *)
@@ -149,8 +110,8 @@ type result = {
   dips : Ll_util.Bitvec.t list;  (** in discovery order *)
   num_dips : int;
   rounds : int;
-      (** batch rounds executed (main solves that found a DIP); equals
-          [num_dips] at [q = 1] *)
+      (** main solves that found a DIP; always equals [num_dips] (one DIP
+          per solve), kept for reporting *)
   oracle_queries : int;
   total_time : float;
   solve_time : float;  (** time inside the SAT solver *)
@@ -194,5 +155,5 @@ val run_prepared :
     is the {e full-width} oracle of the original circuit — queries carry
     the pinned values.  Reported [dips] contain only the free input
     positions, in their original relative order.  Raises
-    [Invalid_argument] on oracle port mismatches, out-of-range or
-    duplicate condition positions, or an invalid [dip_batch]. *)
+    [Invalid_argument] on oracle port mismatches or out-of-range or
+    duplicate condition positions. *)

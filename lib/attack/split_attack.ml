@@ -59,18 +59,6 @@ let recommended_effort ?cores locked =
   let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
   min (log2 cores) (max 0 (Circuit.num_inputs locked - 1))
 
-let task_seeds = Cube_prep.task_seeds
-
-let base_config = Cube_prep.base_config
-
-let strip_own_pool = Cube_prep.strip_own_pool
-
-let run_task = Cube_prep.run_task
-
-let cancelled_task = Cube_prep.cancelled_task
-
-let fatal = Cube_prep.fatal
-
 let prepare ?inputs ~n locked =
   let split_inputs =
     match inputs with
@@ -86,14 +74,14 @@ let prepare ?inputs ~n locked =
 let run ?config ?inputs ?(seed = 0) ~n locked ~oracle =
   let split_inputs, conditions = prepare ?inputs ~n locked in
   let aprep = Sat_attack.prepare locked in
-  let base = base_config config in
-  let seeds = task_seeds ~seed (Array.length conditions) in
+  let base = Cube_prep.base_config config in
+  let seeds = Cube_prep.task_seeds ~seed (Array.length conditions) in
   let t0 = Timer.monotonic () in
   Tel.with_span ~a0:n ~note:"serial" "split.run" (fun () ->
       let tasks =
         Array.mapi
           (fun i cond ->
-            run_task ~index:i
+            Cube_prep.run_task ~index:i
               ~config:{ base with Sat_attack.solver_seed = seeds.(i) }
               ~prep:aprep ~oracle cond)
           conditions
@@ -105,8 +93,8 @@ let run_parallel_core ?config ?inputs ?num_domains ?pool ?(seed = 0)
   let split_inputs, conditions = prepare ?inputs ~n locked in
   let aprep = Sat_attack.prepare locked in
   let num_tasks = Array.length conditions in
-  let base = base_config config in
-  let seeds = task_seeds ~seed num_tasks in
+  let base = Cube_prep.base_config config in
+  let seeds = Cube_prep.task_seeds ~seed num_tasks in
   let t0 = Timer.monotonic () in
   let own_pool, pool =
     match pool with
@@ -119,7 +107,6 @@ let run_parallel_core ?config ?inputs ?num_domains ?pool ?(seed = 0)
         in
         (true, Pool.create ~num_domains:(max 1 (min d num_tasks)) ())
   in
-  let base = strip_own_pool base pool in
   (* Shared abort flag for [cancel_on_failure]: set by the first fatal
      sub-task, observed both by pending tasks (which then return a
      cancelled placeholder without running the solver) and by running
@@ -134,7 +121,8 @@ let run_parallel_core ?config ?inputs ?num_domains ?pool ?(seed = 0)
   let log_buffers = Tel.Log_buffer.create num_tasks in
   let submit i cond =
     Pool.submit pool (fun ctx ->
-        if Atomic.get abort || Pool.cancel_requested ctx then cancelled_task ~locked cond
+        if Atomic.get abort || Pool.cancel_requested ctx then
+          Cube_prep.cancelled_task ~locked cond
         else begin
           let log =
             match base.Sat_attack.log with
@@ -153,8 +141,8 @@ let run_parallel_core ?config ?inputs ?num_domains ?pool ?(seed = 0)
               solver_seed = seeds.(i)
             }
           in
-          let task = run_task ~index:i ~config ~prep:aprep ~oracle cond in
-          if cancel_on_failure && fatal task then begin
+          let task = Cube_prep.run_task ~index:i ~config ~prep:aprep ~oracle cond in
+          if cancel_on_failure && Cube_prep.fatal task then begin
             Atomic.set abort true;
             Array.iter Pool.cancel !handles_ref
           end;
@@ -168,7 +156,7 @@ let run_parallel_core ?config ?inputs ?num_domains ?pool ?(seed = 0)
       (fun i handle ->
         match Pool.await handle with
         | Pool.Done task -> task
-        | Pool.Cancelled -> cancelled_task ~locked conditions.(i)
+        | Pool.Cancelled -> Cube_prep.cancelled_task ~locked conditions.(i)
         | Pool.Failed e -> raise e)
       handles
   in
@@ -184,53 +172,3 @@ let run_parallel ?config ?inputs ?num_domains ?pool ?seed ?cancel_on_failure ~n 
   Tel.with_span ~a0:n ~note:"steal" "split.run" (fun () ->
       run_parallel_core ?config ?inputs ?num_domains ?pool ?seed ?cancel_on_failure ~n
         locked ~oracle)
-
-let run_parallel_static ?config ?inputs ?num_domains ?(seed = 0) ~n locked ~oracle =
-  let split_inputs, conditions = prepare ?inputs ~n locked in
-  let aprep = Sat_attack.prepare locked in
-  let num_tasks = Array.length conditions in
-  let base = base_config config in
-  let seeds = task_seeds ~seed num_tasks in
-  let domains =
-    let d =
-      match num_domains with
-      | Some d -> d
-      | None -> Domain.recommended_domain_count ()
-    in
-    max 1 (min d num_tasks)
-  in
-  let t0 = Timer.monotonic () in
-  Tel.with_span ~a0:n ~note:"static" "split.run" (fun () ->
-      let results = Array.make num_tasks None in
-      let log_buffers = Tel.Log_buffer.create num_tasks in
-      (* Static round-robin chunking: domain d owns tasks d, d+domains, ...
-         No stealing — the historic scheduler, kept as the benchmark baseline
-         for the work-stealing pool.  Logs are buffered per task (same race
-         fix as the pooled runner). *)
-      let worker d () =
-        let rec go i =
-          if i < num_tasks then begin
-            let log =
-              match base.Sat_attack.log with
-              | None -> None
-              | Some _ -> Some (Tel.Log_buffer.slot log_buffers i)
-            in
-            results.(i) <-
-              Some
-                (run_task ~index:i
-                   ~config:{ base with Sat_attack.log; solver_seed = seeds.(i) }
-                   ~prep:aprep ~oracle conditions.(i));
-            go (i + domains)
-          end
-        in
-        go d
-      in
-      let handles = Array.init domains (fun d -> Domain.spawn (worker d)) in
-      Array.iter Domain.join handles;
-      (match base.Sat_attack.log with
-      | None -> ()
-      | Some log -> Tel.Log_buffer.flush log_buffers log);
-      let tasks =
-        Array.map (function Some t -> t | None -> assert false) results
-      in
-      { split_inputs; tasks; wall_time = Timer.monotonic () -. t0; domains_used = domains })

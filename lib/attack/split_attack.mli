@@ -98,20 +98,6 @@ val run_parallel :
     task order after the join, so concurrent domains never interleave
     through the caller's callback. *)
 
-val run_parallel_static :
-  ?config:Sat_attack.config ->
-  ?inputs:int array ->
-  ?num_domains:int ->
-  ?seed:int ->
-  n:int ->
-  Ll_netlist.Circuit.t ->
-  oracle:Oracle.t ->
-  t
-(** The pre-pool scheduler: static round-robin chunking with one freshly
-    spawned domain per chunk and no stealing.  Wall time degenerates to
-    the unluckiest chunk; kept as the measured baseline for
-    [BENCH_split.json] and the scheduler ablation. *)
-
 val recommended_effort : ?cores:int -> Ll_netlist.Circuit.t -> int
 (** The paper's "adjust N to the computational resources": the largest [n]
     with [2^n <= cores] (default: the runtime's recommended domain count)

@@ -752,22 +752,13 @@ let add_clause_a s lits = ignore (add_clause_core s lits)
 
 let add_clause s lits = add_clause_a s (Array.of_list lits)
 
-(* Batched root-level addition: the arena words for the whole batch are
-   reserved up front, so the clauses land as one contiguous append with at
-   most one backing-array growth instead of up to [length css] of them.
-   The clauses are then attached in list order through the exact same
-   absorption/propagation path as sequential {!add_clause} calls — the
-   resulting clause database and trail are identical. *)
-let add_clause_batch s css =
-  let words = List.fold_left (fun acc c -> acc + Array.length c + 2) 0 css in
-  Arena.reserve s.ar words;
-  List.iter (fun c -> ignore (add_clause_core s c)) css
-
 (* Clause import from another solver session (cube-and-conquer clause
-   sharing): same one-reservation contiguous append as a batch, but the
-   count of clauses that actually attached is reported back so the
-   importer can account for absorption (root-satisfied, tautological or
-   unit clauses leave no arena clause behind). *)
+   sharing): the arena words for the whole list are reserved up front, so
+   the clauses land as one contiguous append with at most one
+   backing-array growth.  The count of clauses that actually attached is
+   reported back so the importer can account for absorption
+   (root-satisfied, tautological or unit clauses leave no arena clause
+   behind). *)
 let import_clauses s css =
   let words = List.fold_left (fun acc c -> acc + Array.length c + 2) 0 css in
   Arena.reserve s.ar words;

@@ -90,19 +90,14 @@ val add_clause : t -> Lit.t list -> unit
 
 val add_clause_a : t -> Lit.t array -> unit
 
-val add_clause_batch : t -> Lit.t array list -> unit
-(** Add a batch of clauses as one contiguous arena append: the words for
-    the whole batch are reserved up front (at most one backing-array
-    growth), then the clauses are attached in list order.  Semantically
-    identical to calling {!add_clause_a} on each element in turn — same
-    absorption, same propagation, same final clause database. *)
-
 val import_clauses : t -> Lit.t array list -> int
 (** [import_clauses s css] adds clauses learned elsewhere (typically
     model-blocking constraints captured in a sibling cube's solver
     session and remapped into this session's variable space) as one
-    contiguous arena append, exactly like {!add_clause_batch}, and
-    returns the number of clauses that remained attached — absorbed
+    contiguous arena append — the words for the whole list are reserved
+    up front (at most one backing-array growth), then the clauses are
+    attached in list order through the same path as {!add_clause_a} —
+    and returns the number of clauses that remained attached — absorbed
     clauses (root-satisfied, tautological, reduced to units) leave no
     arena clause and are not counted.  Every literal must be over an
     existing variable of {e this} solver; the caller owns the remapping.
@@ -143,7 +138,7 @@ val value : t -> Lit.t -> bool
     read pays nothing for the extension.
 
     The model lives until the next mutation: {!add_clause} (and its
-    batch/import variants) or {!solve} drops it.  After that, reading an
+    array/import variants) or {!solve} drops it.  After that, reading an
     eliminated variable raises [Invalid_argument], as reading any
     unassigned variable does; read every value you need before adding
     clauses. *)

@@ -49,37 +49,20 @@ type env = {
   solver : Solver.t;
   mutable true_lit : Lit.t option;
   cache : Lit.t Cache.t;
-  (* When [Some acc], emitted clauses are buffered (in reverse) instead of
-     added, and flushed by {!with_batch} as one contiguous arena append. *)
-  mutable pending : Lit.t array list option;
-  (* Observer of every emitted clause (before batching), used by the
-     attack layer to capture a DIP constraint's clause stream for
-     cross-cofactor sharing.  Never alters what reaches the solver. *)
+  (* Observer of every emitted clause, used by the attack layer to capture
+     a DIP constraint's clause stream for cross-cofactor sharing.  Never
+     alters what reaches the solver. *)
   mutable tap : (Lit.t array -> unit) option;
 }
 
 let create solver =
-  { solver; true_lit = None; cache = Cache.create 4096; pending = None; tap = None }
+  { solver; true_lit = None; cache = Cache.create 4096; tap = None }
 
 let solver env = env.solver
 
 let emit env lits =
   (match env.tap with None -> () | Some f -> f lits);
-  match env.pending with
-  | None -> Solver.add_clause_a env.solver lits
-  | Some acc -> env.pending <- Some (lits :: acc)
-
-let with_batch env f =
-  match env.pending with
-  | Some _ -> f () (* already inside a batch: nest transparently *)
-  | None ->
-      env.pending <- Some [];
-      Fun.protect
-        ~finally:(fun () ->
-          let acc = match env.pending with Some a -> a | None -> [] in
-          env.pending <- None;
-          Solver.add_clause_batch env.solver (List.rev acc))
-        f
+  Solver.add_clause_a env.solver lits
 
 let with_tap env f body =
   let saved = env.tap in

@@ -335,14 +335,12 @@ let test_progress_counters () =
       Progress.add_rounds 2;
       Progress.add_imported 3;
       Progress.add_blocking_clauses 7;
-      Progress.set_q 16;
       Progress.set_key_bits 12;
       let v = Progress.view () in
       Alcotest.(check int) "dips" 5 v.Progress.v_dips;
       Alcotest.(check int) "rounds" 2 v.Progress.v_rounds;
       Alcotest.(check int) "imported" 3 v.Progress.v_imported;
       Alcotest.(check int) "blocking" 7 v.Progress.v_blocking_clauses;
-      Alcotest.(check int) "q" 16 v.Progress.v_q;
       Alcotest.(check int) "key bits" 12 v.Progress.v_key_bits;
       Alcotest.(check bool) "dip rate moving" true (v.Progress.v_dip_rate > 0.0))
 

@@ -76,19 +76,28 @@ let test_time_limit () =
   let r = run_attack ~config c locked.circuit in
   Alcotest.(check bool) "hit limit" true (r.Sat_attack.status = Sat_attack.Time_limit)
 
-let test_no_simplification_same_result () =
-  let c = random_circuit ~seed:107 ~num_inputs:6 ~num_outputs:3 ~gates:30 () in
-  let locked = LL.Locking.Sarlock.lock ~key_size:4 c in
-  let config = { Sat_attack.default_config with simplify_constraints = false } in
-  let r = run_attack ~config c locked.circuit in
-  Alcotest.(check int) "same #DIP" 15 r.Sat_attack.num_dips;
-  Alcotest.(check bool) "key correct" true (key_is_correct c locked.circuit r.key)
+let test_key_free_outputs_lock () =
+  (* Degenerate lock: Lut_lock on this instance replaces gates outside
+     every output cone, so no output is key-dependent.  [prepare] must
+     fall back to the whole-circuit path instead of building an empty
+     key cone, and the attack closes immediately — any key unlocks. *)
+  let original =
+    random_circuit ~seed:222 ~num_inputs:7 ~num_outputs:2 ~gates:50 ()
+  in
+  let locked =
+    (LL.Locking.Lut_lock.lock ~stage1_luts:2 ~stage1_inputs:2 original).circuit
+  in
+  let r = run_attack original locked in
+  Alcotest.(check bool) "broken" true (r.Sat_attack.status = Sat_attack.Broken);
+  Alcotest.(check int) "no dips" 0 r.Sat_attack.num_dips;
+  Alcotest.(check bool) "key unlocks" true (key_is_correct original locked r.key)
 
 let test_oracle_query_accounting () =
   let c = random_circuit ~seed:108 () in
   let locked = LL.Locking.Xor_lock.lock ~num_keys:4 c in
   let r = run_attack c locked.circuit in
-  Alcotest.(check int) "one query per dip" r.Sat_attack.num_dips r.oracle_queries
+  Alcotest.(check int) "one query per dip" r.Sat_attack.num_dips r.oracle_queries;
+  Alcotest.(check int) "one solve per dip" r.Sat_attack.num_dips r.rounds
 
 let test_log_callback () =
   let c = random_circuit ~seed:109 () in
@@ -157,8 +166,7 @@ let suite =
     Alcotest.test_case "composed locking broken" `Quick test_composed_locking_broken;
     Alcotest.test_case "iteration limit" `Quick test_iteration_limit;
     Alcotest.test_case "time limit" `Quick test_time_limit;
-    Alcotest.test_case "no simplification same result" `Quick
-      test_no_simplification_same_result;
+    Alcotest.test_case "key-free-outputs lock" `Quick test_key_free_outputs_lock;
     Alcotest.test_case "oracle query accounting" `Quick test_oracle_query_accounting;
     Alcotest.test_case "log callback" `Quick test_log_callback;
     Alcotest.test_case "rejects keyless" `Quick test_rejects_keyless;
