@@ -46,7 +46,7 @@ let verify ~original ~locked attack =
 
 let cube_compare ~pool ~name ~budget original locked =
   let oracle = Oracle.of_circuit original in
-  let g0 = Gc.quick_stat () in
+  let w0 = Gc.minor_words () in
   let compare_t0 = Timer.monotonic () in
   let fixed n =
     let t0 = Timer.monotonic () in
@@ -73,10 +73,10 @@ let cube_compare ~pool ~name ~budget original locked =
   let ratio =
     if fixed_wall.(!best) > 0.0 then adaptive_wall /. fixed_wall.(!best) else 0.0
   in
-  let g1 = Gc.quick_stat () in
+  let w1 = Gc.minor_words () in
   let gc_json =
     Bench_gc.json_fields
-      ~minor_words:(g1.Gc.minor_words -. g0.Gc.minor_words)
+      ~minor_words:(w1 -. w0)
       ~wall_s:(Timer.monotonic () -. compare_t0)
   in
   let composed = verify ~original ~locked a in

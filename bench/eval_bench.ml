@@ -46,12 +46,11 @@ type record = {
 let records : record list ref = ref []
 
 let timed f =
-  let g0 = Gc.quick_stat () in
+  let w0 = Gc.minor_words () in
   let t0 = Timer.monotonic () in
   f ();
   let wall = Timer.monotonic () -. t0 in
-  let g1 = Gc.quick_stat () in
-  (wall, g1.Gc.minor_words -. g0.Gc.minor_words)
+  (wall, Gc.minor_words () -. w0)
 
 (* ------------------------------------------------------------------ *)
 (* Simulation throughput                                               *)
@@ -167,14 +166,14 @@ let constraint_generation ~dips locked =
 (* ------------------------------------------------------------------ *)
 
 let bench ~name ~reps ~dips locked =
-  let g0 = Gc.quick_stat () in
+  let w0 = Gc.minor_words () in
   let t0 = Timer.monotonic () in
   let interp_ps, scalar_ps, packed_ps = sim_throughput ~reps locked in
   let rebuild_dps, kernel_dps, rebuild_wpd, kernel_wpd =
     constraint_generation ~dips locked
   in
   let bench_wall = Timer.monotonic () -. t0 in
-  let g1 = Gc.quick_stat () in
+  let w1 = Gc.minor_words () in
   let r =
     {
       name;
@@ -191,10 +190,7 @@ let bench ~name ~reps ~dips locked =
       kernel_vs_rebuild = kernel_dps /. rebuild_dps;
       rebuild_minor_words_per_dip = rebuild_wpd;
       kernel_minor_words_per_dip = kernel_wpd;
-      gc_json =
-        Bench_gc.json_fields
-          ~minor_words:(g1.Gc.minor_words -. g0.Gc.minor_words)
-          ~wall_s:bench_wall;
+      gc_json = Bench_gc.json_fields ~minor_words:(w1 -. w0) ~wall_s:bench_wall;
     }
   in
   records := r :: !records;

@@ -66,10 +66,17 @@ type record = {
 
 let records : record list ref = ref []
 
+(* Wall time and minor words of one call.  [Gc.minor_words] is exact on
+   this domain ([Gc.quick_stat] only advances at minor collections, so a
+   short call that runs between two of them reads as zero), and summing
+   both over the same calls makes a cell's GC rate the allocation of
+   exactly the work its walls time. *)
 let timed f =
+  let w0 = Gc.minor_words () in
   let t0 = Timer.monotonic () in
   let r = f () in
-  (Timer.monotonic () -. t0, r)
+  let wall = Timer.monotonic () -. t0 in
+  (wall, Gc.minor_words () -. w0, r)
 
 (* ------------------------------------------------------------------ *)
 (* Grid definition                                                     *)
@@ -141,24 +148,20 @@ let float_counts_equal exact sim =
   && Array.for_all2 (fun e s -> e = float_of_int s) exact sim
 
 let cell ~circuit_name ~scheme ~original ~locked ~n =
-  (* [Gc.minor_words] also counts the live part of the minor heap;
-     [Gc.quick_stat] only advances at minor collections, so a cell that
-     runs between two of them would read as zero allocation. *)
-  let w0 = Gc.minor_words () in
   let fixed_inputs = Fanout.select locked ~n in
-  let wall_sift, kp =
+  let wall_sift, words_sift, kp =
     timed (fun () ->
         Exact.cofactor_key_counts ~auto_reorder:true ~original ~locked
           ~fixed_inputs ())
   in
-  let wall_fixed, fixed_kp =
+  let wall_fixed, words_fixed, fixed_kp =
     if run_fixed ~circuit:circuit_name ~scheme then
-      let w, r =
+      let w, a, r =
         timed (fun () ->
             Exact.cofactor_key_counts ~original ~locked ~fixed_inputs ())
       in
-      (w, Some r)
-    else (0.0, None)
+      (w, a, Some r)
+    else (0.0, 0.0, None)
   in
   (match fixed_kp with
   | Some r ->
@@ -169,13 +172,13 @@ let cell ~circuit_name ~scheme ~original ~locked ~n =
       end
   | None -> ());
   let sim_checked = run_sim ~circuit:circuit_name ~scheme ~n in
-  let sim_wall, sim_counts =
+  let sim_wall, sim_words, sim_counts =
     if sim_checked then
-      let w, r =
+      let w, a, r =
         timed (fun () -> Analysis.cofactor_key_counts ~original ~locked ~fixed_inputs ())
       in
-      (w, Some r)
-    else (0.0, None)
+      (w, a, Some r)
+    else (0.0, 0.0, None)
   in
   let exact_matches_sim =
     match sim_counts with
@@ -189,7 +192,6 @@ let cell ~circuit_name ~scheme ~original ~locked ~n =
   end;
   let cmin = Array.fold_left min infinity kp.Exact.counts in
   let cmax = Array.fold_left max 0.0 kp.Exact.counts in
-  let w1 = Gc.minor_words () in
   let wall_total = wall_sift +. wall_fixed +. sim_wall in
   let r =
     {
@@ -213,7 +215,7 @@ let cell ~circuit_name ~scheme ~original ~locked ~n =
       sim_wall_s = sim_wall;
       gc_json =
         Bench_gc.json_fields
-          ~minor_words:(w1 -. w0)
+          ~minor_words:(words_sift +. words_fixed +. sim_words)
           ~wall_s:wall_total;
     }
   in

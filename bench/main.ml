@@ -117,22 +117,22 @@ let json_int_array a =
   "[" ^ String.concat ", " (Array.to_list (Array.map string_of_int a)) ^ "]"
 
 let split_sched_bench ~section ~name ~n locked ~oracle =
-  (* Each run also reports its [Gc.quick_stat] allocation delta (words
-     allocated by this domain), so scheduler and solver changes show their
+  (* Each run also reports its allocation deltas (minor words allocated
+     by this domain from [Gc.minor_words], major words from
+     [Gc.quick_stat]), so scheduler and solver changes show their
      allocation cost next to their wall time.  The three timed runs are
      untraced — they are the numbers the <2% disabled-overhead criterion
      is judged on; a fourth, traced stealing run supplies the solver
      counters and per-iteration trajectories. *)
   let time f =
     let g0 = Gc.quick_stat () in
+    let w0 = Gc.minor_words () in
     let t0 = Timer.monotonic () in
     let r = f () in
     let wall = Timer.monotonic () -. t0 in
+    let w1 = Gc.minor_words () in
     let g1 = Gc.quick_stat () in
-    ( r,
-      wall,
-      g1.Gc.minor_words -. g0.Gc.minor_words,
-      g1.Gc.major_words -. g0.Gc.major_words )
+    (r, wall, w1 -. w0, g1.Gc.major_words -. g0.Gc.major_words)
   in
   let domains = 4 in
   let serial, serial_wall, serial_minor, serial_major =

@@ -4,6 +4,7 @@ module Solver = Ll_sat.Solver
 module Tseitin = Ll_sat.Tseitin
 module Lit = Ll_sat.Lit
 module Prng = Ll_util.Prng
+module Simplify = Ll_synth.Simplify
 
 type verdict = Equivalent | Counterexample of bool array
 
@@ -80,8 +81,26 @@ let validate_pair name a b =
     || Circuit.num_outputs a <> Circuit.num_outputs b
   then invalid_arg (name ^ ": signature mismatch")
 
+(* Both deciders run on the simplified pair: constant propagation folds
+   bound key constants away ([XOR(w, 0)] becomes [w]), Nand/Nor/Xnor/Buf
+   normalise to one gate vocabulary, and structural hashing shares equal
+   gates within each side.  The Tseitin gate memo, over shared input
+   literals, then merges the two sides wherever they agree structurally —
+   a correctly keyed XOR lock maps every output pair onto one literal and
+   the miter is refuted by propagation alone.  [Simplify.run] without
+   [~bind] keeps every input port in order, so a counterexample found on
+   the simplified pair is one for the caller's circuits. *)
+let simplified a b =
+  let simplify c =
+    let s = Simplify.run c in
+    assert (Circuit.num_inputs s = Circuit.num_inputs c);
+    s
+  in
+  (simplify a, simplify b)
+
 let check ?seed ?(samples = 8) a b =
   validate_pair "Equiv.check" a b;
+  let a, b = simplified a b in
   match random_counterexample ~samples a b with
   | Some cex -> Counterexample cex
   | None -> (
@@ -93,6 +112,7 @@ type bounded_verdict = Proved_equivalent | Refuted of bool array | Unknown
 
 let check_bounded ?seed ?(samples = 8) ~conflict_limit a b =
   validate_pair "Equiv.check_bounded" a b;
+  let a, b = simplified a b in
   match random_counterexample ~samples a b with
   | Some cex -> Refuted cex
   | None -> (

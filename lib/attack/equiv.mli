@@ -1,5 +1,15 @@
 (** Combinational equivalence checking: fast random simulation followed by
-    a complete SAT decision on the miter. *)
+    a complete SAT decision on the miter.
+
+    Both entry points first run {!Ll_synth.Simplify.run} on each side:
+    constants fold (a bound key gate such as [XOR(w, 0)] becomes [w]),
+    gates normalise to one vocabulary and structurally equal gates are
+    shared.  Simulation and the SAT miter then work on the simplified
+    pair, whose Tseitin encoding over shared input literals merges the two
+    sides wherever they agree structurally — a correctly keyed XOR lock is
+    refuted by propagation alone.  Simplification keeps every input port
+    in order, so counterexamples are over the caller's input order and
+    distinguish the circuits as passed. *)
 
 type verdict = Equivalent | Counterexample of bool array
 
@@ -9,7 +19,8 @@ val check :
     controls the number of 64-pattern random-simulation rounds tried before
     falling back to SAT (default 8); [seed] is passed to the SAT solver's
     decision randomisation.  The returned counterexample is an input
-    pattern on which the circuits differ. *)
+    pattern, in [a]'s input-port order, on which [a] and [b] (as passed,
+    not their simplified forms) differ. *)
 
 val equal_outputs :
   Ll_netlist.Circuit.t -> Ll_netlist.Circuit.t -> inputs:bool array -> bool

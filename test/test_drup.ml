@@ -63,37 +63,68 @@ let test_corrupted_proof_rejected () =
   | Drup.Failed _ -> ()
 
 let test_miter_unsat_proof_verifies () =
-  (* The attack's core trust step: a proof-logged UNSAT answer on an
-     equivalence miter. *)
-  let c = full_adder_circuit () in
+  (* The verifier's trust step: a proof-logged UNSAT answer on the miter
+     Equiv decides.  The pair is a LUT-locked circuit against a
+     composition of two keys that are each correct on one half of the
+     input space only, so after simplification the sides still differ
+     structurally and the refutation needs learnt clauses. *)
+  let original = random_circuit ~seed:41 ~num_inputs:6 ~num_outputs:3 ~gates:30 () in
+  let locked =
+    LL.Locking.Lut_lock.lock ~prng:(Prng.create 42) ~stage1_luts:2 ~stage1_inputs:2
+      original
+  in
+  let lc = locked.LL.Locking.Locked.circuit in
+  let m = LL.Attack.Analysis.error_matrix ~original ~locked:lc () in
+  let correct = Bitvec.to_int locked.correct_key in
+  let half v =
+    let keys = LL.Attack.Analysis.unlocking_keys m ~condition:[ (0, v) ] in
+    let k = List.fold_left max correct (List.filter (fun k -> k <> correct) keys) in
+    Bitvec.of_int ~width:(Bitvec.length locked.correct_key) k
+  in
+  let composed =
+    LL.Attack.Compose.build ~optimize:false lc ~split_inputs:[| 0 |]
+      ~keys:[| half false; half true |]
+  in
   let solver = Solver.create () in
   Solver.enable_proof solver;
-  (* Mirror of Equiv.check's encoding, with clause capture. *)
-  let captured = ref [] in
+  (* Mirror of Equiv.check's encoding (simplify each side, then encode
+     over shared input literals), with clause capture. *)
+  let cnf = ref [] in
+  let add clause =
+    Solver.add_clause solver clause;
+    cnf := clause :: !cnf
+  in
   let env = Tseitin.create solver in
-  let input_lits = Tseitin.fresh_lits env 3 in
-  let o1 = Tseitin.encode env c ~input_lits ~key_lits:[||] in
-  let o2 = Tseitin.encode env c ~input_lits ~key_lits:[||] in
-  ignore captured;
+  let a = LL.Synth.Simplify.run original and b = LL.Synth.Simplify.run composed in
+  let input_lits = Tseitin.fresh_lits env (Circuit.num_inputs a) in
+  let o1, o2 =
+    Tseitin.with_tap env
+      (fun c -> cnf := Array.to_list c :: !cnf)
+      (fun () ->
+        ( Tseitin.encode env a ~input_lits ~key_lits:[||],
+          Tseitin.encode env b ~input_lits ~key_lits:[||] ))
+  in
   let diff_clause =
     Array.to_list
       (Array.map2
          (fun a b ->
            let d = (Tseitin.fresh_lits env 1).(0) in
-           Solver.add_clause solver [ Lit.negate d; a; b ];
-           Solver.add_clause solver [ Lit.negate d; Lit.negate a; Lit.negate b ];
-           Solver.add_clause solver [ d; Lit.negate a; b ];
-           Solver.add_clause solver [ d; a; Lit.negate b ];
+           add [ Lit.negate d; a; b ];
+           add [ Lit.negate d; Lit.negate a; Lit.negate b ];
+           add [ d; Lit.negate a; b ];
+           add [ d; a; Lit.negate b ];
            d)
          o1 o2)
   in
-  Solver.add_clause solver diff_clause;
-  Alcotest.(check bool) "unsat (hash-consed copies identical)" true
-    (Solver.solve solver = Solver.Unsat)
-(* Note: with the structurally-cached Tseitin encoder the two copies share
-   every variable, so the diff clause is falsified by propagation alone —
-   the interesting check is that the recorded (tiny) proof verifies, which
-   test_pigeonhole_proof_verifies already covers for a deep derivation. *)
+  add diff_clause;
+  Alcotest.(check bool) "unsat" true (Solver.solve solver = Solver.Unsat);
+  let proof = Solver.proof solver in
+  Alcotest.(check bool) "refutation derives learnt clauses" true
+    (List.exists (function Solver.P_add c -> Array.length c > 0 | _ -> false) proof);
+  match Drup.check_refutation ~num_vars:(Solver.num_vars solver) ~cnf:!cnf ~proof with
+  | Drup.Verified -> ()
+  | Drup.Failed { step; reason } ->
+      Alcotest.fail (Printf.sprintf "proof rejected at step %d: %s" step reason)
 
 let test_proof_disabled_is_empty () =
   let s = Solver.create () in
