@@ -134,7 +134,11 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
     let g1 = Gc.quick_stat () in
     (r, wall, w1 -. w0, g1.Gc.major_words -. g0.Gc.major_words)
   in
-  let domains = 4 in
+  (* One worker domain per core, and no more than there are tasks: the
+     record carries both numbers, so runs from different hosts stay
+     comparable. *)
+  let nproc = Domain.recommended_domain_count () in
+  let domains = max 1 (min nproc (1 lsl n)) in
   let serial, serial_wall, serial_minor, serial_major =
     time (fun () -> Split_attack.run ~n locked ~oracle)
   in
@@ -187,6 +191,7 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
       \    \"workload\": %S,\n\
       \    \"n\": %d,\n\
       \    \"num_tasks\": %d,\n\
+      \    \"nproc\": %d,\n\
       \    \"domains\": %d,\n\
       \    \"serial_wall_s\": %.6f,\n\
       \    \"stealing_wall_s\": %.6f,\n\
@@ -209,7 +214,7 @@ let split_sched_bench ~section ~name ~n locked ~oracle =
       \    \"task_iters_s\": [%s],\n\
       \    %s\n\
       \  }"
-      section name n num_tasks domains serial_wall steal_wall traced_wall
+      section name n num_tasks nproc domains serial_wall steal_wall traced_wall
       (Split_attack.min_task_time steal)
       (Split_attack.mean_task_time steal)
       (Split_attack.max_task_time steal)

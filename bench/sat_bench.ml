@@ -76,15 +76,23 @@ let tracked_solve per_round solver =
    encoding allocations are visible too (they are part of what an attack
    iteration pays).  Each workload runs under a fresh telemetry session:
    the solver counters, the per-solve trajectory and the LBD distribution
-   in the record all come out of the closing snapshot. *)
+   in the record all come out of the closing snapshot.
+
+   OCaml 5 only folds promoted and major words into [Gc.quick_stat] at a
+   minor collection, so the window is closed by one on each side: the
+   first flushes earlier records' work out of it, the last charges the
+   workload for everything it promoted, even when its allocation fits in
+   a single minor heap. *)
 let measure ~name ~kind f =
   Tel.enable ();
+  Gc.minor ();
   let g0 = Gc.quick_stat () in
   let w0 = Gc.minor_words () in
   let t0 = Timer.monotonic () in
   let solver, result, per_round = f () in
   let wall = Timer.monotonic () -. t0 in
   let w1 = Gc.minor_words () in
+  Gc.minor ();
   let g1 = Gc.quick_stat () in
   let snap = Tel.snapshot () in
   Tel.disable ();

@@ -52,8 +52,8 @@ let default_config () =
 type host = {
   nvars : int;
   ar : Arena.t;
-  clauses : int Vec.t;
-  learnts : int Vec.t;
+  clauses : Vec.t;
+  learnts : Vec.t;
   value : Lit.t -> int;
   frozen : int -> bool;
   assigned : int -> bool;
@@ -77,8 +77,8 @@ type host = {
 type t = {
   config : config;
   stats : stats;
-  mutable occs : int Vec.t array;  (* per variable: problem crefs containing it *)
-  queue : int Vec.t;  (* subsumption work queue of crefs *)
+  mutable occs : Vec.t array;  (* per variable: problem crefs containing it *)
+  queue : Vec.t;  (* subsumption work queue of crefs *)
   mutable qhead : int;
   qset : (int, unit) Hashtbl.t;  (* crefs currently queued *)
   (* Signature cache, generation-stamped and keyed directly by cref: the
@@ -91,11 +91,11 @@ type t = {
   mutable sig_val : int array;
   mutable sig_gen : int array;
   mutable sig_session : int;
-  touched : int Vec.t;  (* BVE candidate variables *)
+  touched : Vec.t;  (* BVE candidate variables *)
   mutable touched_mark : Bytes.t;
   mutable lit_mark : int array;  (* per literal, for resolvent merging *)
   mutable mark_gen : int;
-  elim : int Vec.t;  (* eliminated-clause stack (see extend_model) *)
+  elim : Vec.t;  (* eliminated-clause stack (see extend_model) *)
   mutable budget : int;
   mutable processed_trail : int;
   mutable viv_cursor : int;  (* rotating start into the problem-clause vector *)
@@ -114,18 +114,18 @@ let create ?(config = default_config ()) () =
         strengthened_lits = 0;
         sessions = 0;
       };
-    occs = Array.init 64 (fun _ -> Vec.create ~dummy:Arena.no_cref);
-    queue = Vec.create ~dummy:Arena.no_cref;
+    occs = Array.init 64 (fun _ -> Vec.create ());
+    queue = Vec.create ();
     qhead = 0;
     qset = Hashtbl.create 256;
     sig_val = Array.make 1024 0;
     sig_gen = Array.make 1024 0;
     sig_session = 0;
-    touched = Vec.create ~dummy:(-1);
+    touched = Vec.create ();
     touched_mark = Bytes.make 64 '\000';
     lit_mark = Array.make 128 0;
     mark_gen = 0;
-    elim = Vec.create ~dummy:0;
+    elim = Vec.create ();
     budget = 0;
     processed_trail = 0;
     viv_cursor = 0;
@@ -138,7 +138,7 @@ let stats t = t.stats
 let ensure_capacity t nvars =
   if Array.length t.occs < nvars then begin
     let n = max nvars (2 * Array.length t.occs) in
-    let fresh = Array.init n (fun _ -> Vec.create ~dummy:Arena.no_cref) in
+    let fresh = Array.init n (fun _ -> Vec.create ()) in
     Array.blit t.occs 0 fresh 0 (Array.length t.occs);
     t.occs <- fresh
   end;
@@ -253,7 +253,7 @@ let catch_up t host =
     let v = Lit.var l in
     let ws = t.occs.(v) in
     (* snapshot: strip_clause mutates this list via occ_remove *)
-    let snap = Array.init (Vec.length ws) (Vec.get ws) in
+    let snap = Vec.to_array ws in
     Array.iter
       (fun c ->
         if live host c then
@@ -342,7 +342,7 @@ let forward_step t host c =
        missed here is still found when IT is queued and runs backward. *)
     if Vec.length ws <= t.config.subsume_occ_limit then begin
       (* snapshot: strengthenings triggered below mutate this list *)
-      let snap = Array.init (Vec.length ws) (Vec.get ws) in
+      let snap = Vec.to_array ws in
       let m = Array.length snap in
       t.budget <- t.budget - m;
       let i = ref 0 in
@@ -374,7 +374,7 @@ let backward_step t host c =
   let ws = t.occs.(b) in
   if Vec.length ws <= t.config.subsume_occ_limit then begin
     (* snapshot: removals and strengthenings mutate the list *)
-    let snap = Array.init (Vec.length ws) (Vec.get ws) in
+    let snap = Vec.to_array ws in
     t.budget <- t.budget - Array.length snap;
     let i = ref 0 in
     while live host c && !i < Array.length snap && t.budget > 0 do
@@ -648,14 +648,14 @@ let vivify t host =
     let within_budget () = host.propagation_count () - p0 < t.config.vivify_budget in
     let cand_ok c = live host c && Arena.size ar c >= 3 && Arena.size ar c <= 64 in
     (* High-activity learnt clauses first. *)
-    let learnt_cands = Vec.create ~dummy:Arena.no_cref in
+    let learnt_cands = Vec.create () in
     Vec.iter (fun c -> if cand_ok c then Vec.push learnt_cands c) host.learnts;
     Vec.sort_in_place
       (fun a b ->
         let d = Float.compare (Arena.act ar b) (Arena.act ar a) in
         if d <> 0 then d else compare a b)
       learnt_cands;
-    let cands = Vec.create ~dummy:Arena.no_cref in
+    let cands = Vec.create () in
     let nl = min (Vec.length learnt_cands) t.config.vivify_max_clauses in
     for i = 0 to nl - 1 do
       Vec.push cands (Vec.get learnt_cands i)
@@ -675,7 +675,7 @@ let vivify t host =
         end
       done
     end;
-    let keep = Vec.create ~dummy:0 in
+    let keep = Vec.create () in
     let i = ref 0 in
     while !i < Vec.length cands && within_budget () && host.solver_ok () do
       let c = Vec.get cands !i in
@@ -717,7 +717,7 @@ let vivify t host =
           let kn = Vec.length keep in
           if kn < n && host.solver_ok () then begin
             t.stats.vivified <- t.stats.vivified + 1;
-            host.replace_clause c (Array.init kn (Vec.get keep))
+            host.replace_clause c (Vec.to_array keep)
           end
           else host.attach_clause c
         end

@@ -78,8 +78,8 @@ val default_config : unit -> config
 type host = {
   nvars : int;
   ar : Arena.t;
-  clauses : int Vec.t;
-  learnts : int Vec.t;
+  clauses : Vec.t;
+  learnts : Vec.t;
   value : Lit.t -> int;  (** -1 unassigned / 0 false / 1 true *)
   frozen : int -> bool;
   assigned : int -> bool;  (** variable has a (root) value *)

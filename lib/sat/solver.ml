@@ -18,7 +18,14 @@
    vivification round shrinks high-activity clauses under a propagation
    budget.  Variable elimination obeys a frozen-variable protocol
    ([freeze_var]) so incremental callers can safely re-mention frozen
-   variables, and is disabled entirely while DRUP recording is on. *)
+   variables, and is disabled entirely while DRUP recording is on.
+
+   The search loop runs on plain int and float arrays: [Vec] is int-only,
+   the VSIDS heap reads the activity array directly, conflict analysis
+   works in solver-owned scratch ([an_learnt], [seen]), clause addition
+   dedups through a literal-indexed mark array, and random decisions draw
+   an int from an unboxed PRNG state.  A conflict allocates one array, the
+   learnt clause itself; propagation and decisions allocate nothing. *)
 
 module Tel = Ll_telemetry.Telemetry
 
@@ -89,11 +96,15 @@ let no_cref = Arena.no_cref
    addition or solve — drops the model ([No_model]). *)
 type ext_state = No_model | Pending | Extended
 
+(* VSIDS increments.  An all-float record is stored flat, so updating
+   them once per conflict allocates no float box. *)
+type incs = { mutable var_inc : float; mutable cla_inc : float }
+
 type t = {
   ar : Arena.t;
-  clauses : int Vec.t;  (* crefs of problem clauses *)
-  learnts : int Vec.t;  (* crefs of retained learnt clauses *)
-  mutable watches : int Vec.t array;
+  clauses : Vec.t;  (* crefs of problem clauses *)
+  learnts : Vec.t;  (* crefs of retained learnt clauses *)
+  mutable watches : Vec.t array;
       (* watches.(l): flat (blocker, cref) pairs of clauses watching ¬l *)
   mutable assigns : int array;  (* per var: -1 unassigned / 0 false / 1 true *)
   mutable level : int array;
@@ -103,12 +114,13 @@ type t = {
   mutable seen : bool array;  (* scratch for analyze *)
   mutable level_stamp : int array;  (* scratch for LBD counting *)
   mutable stamp : int;
-  mutable order : Heap.t;
-  trail : Lit.t Vec.t;
-  trail_lim : int Vec.t;
+  mutable lit_mark : bool array;  (* per literal: scratch for add_clause dedup *)
+  an_learnt : Vec.t;  (* scratch: the clause being learnt by analyze *)
+  order : Heap.t;
+  trail : Vec.t;  (* literals *)
+  trail_lim : Vec.t;
   mutable qhead : int;
-  mutable var_inc : float;
-  mutable cla_inc : float;
+  inc : incs;
   mutable nvars : int;
   mutable ok : bool;
   prng : Ll_util.Prng.t;
@@ -120,7 +132,7 @@ type t = {
   mutable n_deleted : int;
   mutable n_gcs : int;
   mutable proof_enabled : bool;
-  proof_log : proof_event Vec.t;
+  mutable proof_log : proof_event list;  (* newest first *)
   (* inprocessing *)
   simp_enabled : bool;
   simp : Simp.t;
@@ -140,56 +152,57 @@ let clause_decay = 1.0 /. 0.999
 let random_decision_freq = 0.02
 let restart_first = 100
 
+(* [random_decision_freq] scaled to the 53-bit draw of [Prng.bits53]:
+   [float r < freq *. 2^53] holds exactly when [r /. 2^53 < freq], because
+   scaling by a power of two is exact. *)
+let random_decision_cut = random_decision_freq *. 9007199254740992.0
+
 let create ?(seed = 0) ?(simp = true) () =
-  let s =
-    {
-      ar = Arena.create ();
-      clauses = Vec.create ~dummy:no_cref;
-      learnts = Vec.create ~dummy:no_cref;
-      watches = Array.init 128 (fun _ -> Vec.create ~dummy:0);
-      assigns = Array.make 64 (-1);
-      level = Array.make 64 0;
-      reason = Array.make 64 no_cref;
-      activity = Array.make 64 0.0;
-      polarity = Array.make 64 false;
-      seen = Array.make 64 false;
-      level_stamp = Array.make 65 0;
-      stamp = 0;
-      order = Heap.create ~score:(fun _ -> 0.0);
-      trail = Vec.create ~dummy:0;
-      trail_lim = Vec.create ~dummy:0;
-      qhead = 0;
-      var_inc = 1.0;
-      cla_inc = 1.0;
-      nvars = 0;
-      ok = true;
-      prng = Ll_util.Prng.create seed;
-      n_conflicts = 0;
-      n_decisions = 0;
-      n_propagations = 0;
-      n_restarts = 0;
-      n_learnt_literals = 0;
-      n_deleted = 0;
-      n_gcs = 0;
-      proof_enabled = false;
-      proof_log = Vec.create ~dummy:(P_add [||]);
-      simp_enabled = simp;
-      simp = Simp.create ();
-      frozen = Array.make 64 false;
-      eliminated = Array.make 64 false;
-      ext_model = Array.make 64 (-1);
-      ext = No_model;
-      n_eliminated = 0;
-      clause_cursor = 0;
-      last_trail_simp = 0;
-      last_conflicts_simp = 0;
-      last_viv_restart = 0;
-    }
-  in
-  (* The heap scores through the record so activity-array reallocation in
-     [grow_arrays] stays visible. *)
-  s.order <- Heap.create ~score:(fun v -> s.activity.(v));
-  s
+  let activity = Array.make 64 0.0 in
+  {
+    ar = Arena.create ();
+    clauses = Vec.create ();
+    learnts = Vec.create ();
+    watches = Array.init 128 (fun _ -> Vec.create ());
+    assigns = Array.make 64 (-1);
+    level = Array.make 64 0;
+    reason = Array.make 64 no_cref;
+    activity;
+    polarity = Array.make 64 false;
+    seen = Array.make 64 false;
+    level_stamp = Array.make 65 0;
+    stamp = 0;
+    lit_mark = Array.make 128 false;
+    an_learnt = Vec.create ();
+    order = Heap.create activity;
+    trail = Vec.create ();
+    trail_lim = Vec.create ();
+    qhead = 0;
+    inc = { var_inc = 1.0; cla_inc = 1.0 };
+    nvars = 0;
+    ok = true;
+    prng = Ll_util.Prng.create seed;
+    n_conflicts = 0;
+    n_decisions = 0;
+    n_propagations = 0;
+    n_restarts = 0;
+    n_learnt_literals = 0;
+    n_deleted = 0;
+    n_gcs = 0;
+    proof_enabled = false;
+    proof_log = [];
+    simp_enabled = simp;
+    simp = Simp.create ();
+    frozen = Array.make 64 false;
+    eliminated = Array.make 64 false;
+    ext_model = Array.make 64 (-1);
+    ext = No_model;
+    n_eliminated = 0;
+    clause_cursor = 0;
+    last_trail_simp = 0;
+    last_conflicts_simp = 0;
+    last_viv_restart = 0;
+  }
 
 let num_vars s = s.nvars
 
@@ -209,9 +222,13 @@ let mark_clause s c = Arena.mark s.ar c
 
 let clause_lbd s c = Arena.lbd s.ar c
 
-let clause_act s c = Arena.act s.ar c
+(* [Arena.act]/[Arena.set_act] spelled out over the arena words (layout in
+   arena.mli): a float crossing the module boundary is boxed on every
+   call, and every clause bump reads and writes an activity. *)
+let[@inline] clause_act s c =
+  Int64.float_of_bits (Int64.logand (Int64.of_int s.ar.Arena.a.(c + 1)) Int64.max_int)
 
-let set_clause_act s c f = Arena.set_act s.ar c f
+let[@inline] set_clause_act s c f = s.ar.Arena.a.(c + 1) <- Int64.to_int (Int64.bits_of_float f)
 
 let clause_lit s c k = Arena.lit s.ar c k
 
@@ -230,6 +247,7 @@ let grow_arrays s needed =
     s.level <- grown s.level 0;
     s.reason <- grown s.reason no_cref;
     s.activity <- grown s.activity 0.0;
+    Heap.set_scores s.order s.activity;
     s.polarity <- grown s.polarity false;
     s.seen <- grown s.seen false;
     s.frozen <- grown s.frozen false;
@@ -243,8 +261,10 @@ let grow_arrays s needed =
   let old_w = Array.length s.watches in
   if 2 * needed > old_w then begin
     let n = max (2 * needed) (2 * old_w) in
-    s.watches <-
-      Array.init n (fun i -> if i < old_w then s.watches.(i) else Vec.create ~dummy:0)
+    s.watches <- Array.init n (fun i -> if i < old_w then s.watches.(i) else Vec.create ());
+    let fresh = Array.make n false in
+    Array.blit s.lit_mark 0 fresh 0 (Array.length s.lit_mark);
+    s.lit_mark <- fresh
   end
 
 let new_var s =
@@ -261,7 +281,7 @@ let lit_value s l =
 
 let decision_level s = Vec.length s.trail_lim
 
-let log_proof s event = if s.proof_enabled then Vec.push s.proof_log event
+let log_proof s event = if s.proof_enabled then s.proof_log <- event :: s.proof_log
 
 let enqueue s l reason =
   s.assigns.(Lit.var l) <- 1 lxor (l land 1);
@@ -292,26 +312,26 @@ let is_eliminated s v =
 (* --- Activity --- *)
 
 let bump_var s v =
-  s.activity.(v) <- s.activity.(v) +. s.var_inc;
+  s.activity.(v) <- s.activity.(v) +. s.inc.var_inc;
   if s.activity.(v) > 1e100 then begin
     for i = 0 to s.nvars - 1 do
       s.activity.(i) <- s.activity.(i) *. 1e-100
     done;
-    s.var_inc <- s.var_inc *. 1e-100
+    s.inc.var_inc <- s.inc.var_inc *. 1e-100
   end;
   Heap.update s.order v
 
-let decay_var_activity s = s.var_inc <- s.var_inc *. var_decay
+let decay_var_activity s = s.inc.var_inc <- s.inc.var_inc *. var_decay
 
 let bump_clause s c =
-  let a = clause_act s c +. s.cla_inc in
+  let a = clause_act s c +. s.inc.cla_inc in
   set_clause_act s c a;
   if a > 1e20 then begin
     Vec.iter (fun c -> set_clause_act s c (clause_act s c *. 1e-20)) s.learnts;
-    s.cla_inc <- s.cla_inc *. 1e-20
+    s.inc.cla_inc <- s.inc.cla_inc *. 1e-20
   end
 
-let decay_clause_activity s = s.cla_inc <- s.cla_inc *. clause_decay
+let decay_clause_activity s = s.inc.cla_inc <- s.inc.cla_inc *. clause_decay
 
 (* --- Clause attachment --- *)
 
@@ -466,16 +486,23 @@ let lit_redundant s l =
   r >= 0
   &&
   let n = clause_size s r in
-  let rec all k =
-    k >= n
-    ||
-    let q = clause_lit s r k in
-    (Lit.var q = Lit.var l || s.seen.(Lit.var q) || s.level.(Lit.var q) = 0) && all (k + 1)
-  in
-  all 0
+  let k = ref 0 in
+  while
+    !k < n
+    &&
+    let v = Lit.var (clause_lit s r !k) in
+    v = Lit.var l || s.seen.(v) || s.level.(v) = 0
+  do
+    incr k
+  done;
+  !k >= n
 
+(* First-UIP analysis into the [an_learnt] scratch vector: on return it
+   holds the minimized learnt clause, asserting literal first and a
+   literal of the backjump level second.  Returns the backjump level. *)
 let analyze s confl =
-  let learnt = Vec.create ~dummy:0 in
+  let learnt = s.an_learnt in
+  Vec.clear learnt;
   Vec.push learnt 0 (* placeholder for the asserting literal *);
   let counter = ref 0 in
   let p = ref (-1) in
@@ -498,12 +525,12 @@ let analyze s confl =
         end
       end
     done;
-    let rec next_marked i =
-      let l = Vec.get s.trail i in
-      if s.seen.(Lit.var l) then (l, i) else next_marked (i - 1)
-    in
-    let l, i = next_marked !index in
-    index := i - 1;
+    (* Next marked literal down the trail. *)
+    while not s.seen.(Lit.var (Vec.get s.trail !index)) do
+      decr index
+    done;
+    let l = Vec.get s.trail !index in
+    decr index;
     p := l;
     s.seen.(Lit.var l) <- false;
     decr counter;
@@ -511,42 +538,52 @@ let analyze s confl =
   done;
   Vec.set learnt 0 (Lit.negate !p);
   s.seen.(Lit.var !p) <- true;
-  (* keep the UIP marked during minimization *)
-  let lits = Array.init (Vec.length learnt) (Vec.get learnt) in
-  let keep = Array.mapi (fun i l -> i = 0 || not (lit_redundant s l)) lits in
-  let minimized =
-    Array.to_list lits |> List.filteri (fun i _ -> keep.(i)) |> Array.of_list
-  in
-  Array.iter (fun l -> s.seen.(Lit.var l) <- false) lits;
-  s.seen.(Lit.var !p) <- false;
-  let n = Array.length minimized in
-  let bt_level =
-    if n = 1 then 0
-    else begin
-      let max_i = ref 1 in
-      for i = 2 to n - 1 do
-        if s.level.(Lit.var minimized.(i)) > s.level.(Lit.var minimized.(!max_i)) then
-          max_i := i
-      done;
-      let tmp = minimized.(1) in
-      minimized.(1) <- minimized.(!max_i);
-      minimized.(!max_i) <- tmp;
-      s.level.(Lit.var minimized.(1))
+  (* Minimize by a stable in-place partition: kept literals keep their
+     order in the prefix, dropped ones collect behind it.  Every literal,
+     the UIP included, stays [seen] until all redundancy tests are done. *)
+  let n = Vec.length learnt in
+  let kept = ref 1 in
+  for i = 1 to n - 1 do
+    let l = Vec.get learnt i in
+    if not (lit_redundant s l) then begin
+      Vec.set learnt i (Vec.get learnt !kept);
+      Vec.set learnt !kept l;
+      incr kept
     end
-  in
-  (* Distinct decision levels among the learnt literals, counted with a
-     stamp array instead of a set (no allocation). *)
+  done;
+  for i = 0 to n - 1 do
+    s.seen.(Lit.var (Vec.get learnt i)) <- false
+  done;
+  s.seen.(Lit.var !p) <- false;
+  let n = !kept in
+  Vec.shrink learnt n;
+  if n = 1 then 0
+  else begin
+    let max_i = ref 1 in
+    for i = 2 to n - 1 do
+      if s.level.(Lit.var (Vec.get learnt i)) > s.level.(Lit.var (Vec.get learnt !max_i)) then
+        max_i := i
+    done;
+    let tmp = Vec.get learnt 1 in
+    Vec.set learnt 1 (Vec.get learnt !max_i);
+    Vec.set learnt !max_i tmp;
+    s.level.(Lit.var (Vec.get learnt 1))
+  end
+
+(* Distinct decision levels among the literals, counted with a stamp array
+   instead of a set (no allocation). *)
+let lbd_of s lits =
   s.stamp <- s.stamp + 1;
   let stamp = s.stamp in
   let lbd = ref 0 in
-  for i = 0 to n - 1 do
-    let lv = s.level.(Lit.var minimized.(i)) in
+  for i = 0 to Array.length lits - 1 do
+    let lv = s.level.(Lit.var lits.(i)) in
     if s.level_stamp.(lv) <> stamp then begin
       s.level_stamp.(lv) <- stamp;
       incr lbd
     end
   done;
-  (minimized, bt_level, !lbd)
+  !lbd
 
 (* --- Learnt clause database reduction --- *)
 
@@ -564,8 +601,8 @@ let locked s c =
 let gc_arena_core s =
   let arena = s.ar.Arena.a in
   let arena_len = s.ar.Arena.len in
-  let old_ofs = Vec.create ~dummy:0 in
-  let new_ofs = Vec.create ~dummy:0 in
+  let old_ofs = Vec.create () in
+  let new_ofs = Vec.create () in
   let src = ref 0 and dst = ref 0 in
   while !src < arena_len do
     let h = arena.(!src) in
@@ -669,7 +706,7 @@ let reduce_db_core s =
       mark_clause s c;
       any_deleted := true;
       s.n_deleted <- s.n_deleted + 1;
-      log_proof s (P_delete (clause_lits s c))
+      if s.proof_enabled then log_proof s (P_delete (clause_lits s c))
     end
   done;
   if !any_deleted then begin
@@ -687,6 +724,11 @@ let reduce_db s =
 
 (* --- Adding clauses (root level) --- *)
 
+let set_marks s lits n b =
+  for i = 0 to n - 1 do
+    s.lit_mark.(lits.(i)) <- b
+  done
+
 (* Returns the cref of the attached clause, or [no_cref] when the clause
    was absorbed (tautological, satisfied, unit, or empty).
 
@@ -701,23 +743,42 @@ let rec add_clause_core s lits =
     (* Incremental use: callers add clauses right after a Sat answer, while
        the trail still holds the model.  Return to the root first. *)
     cancel_until s 0;
-    let module IS = Set.Make (Int) in
+    (* [kept] collects the distinct unassigned literals, each marked in
+       [lit_mark] while it is a member.  [restore_var] re-enters this
+       function, so the marks are lifted around it. *)
+    let n = Array.length lits in
+    let kept = Array.make n 0 in
+    let k = ref 0 in
     let tautology = ref false in
     let satisfied = ref false in
-    let kept = ref IS.empty in
-    Array.iter
-      (fun l ->
-        if Lit.var l >= s.nvars then invalid_arg "Solver.add_clause: unknown variable";
-        if s.eliminated.(Lit.var l) then restore_var s (Lit.var l);
-        if IS.mem (Lit.negate l) !kept then tautology := true;
-        match lit_value s l with
-        | 1 -> satisfied := true
-        | 0 -> ()
-        | _ -> kept := IS.add l !kept)
-      lits;
+    for i = 0 to n - 1 do
+      let l = lits.(i) in
+      let v = Lit.var l in
+      if v >= s.nvars then begin
+        set_marks s kept !k false;
+        invalid_arg "Solver.add_clause: unknown variable"
+      end;
+      if s.eliminated.(v) then begin
+        set_marks s kept !k false;
+        restore_var s v;
+        set_marks s kept !k true
+      end;
+      if s.lit_mark.(Lit.negate l) then tautology := true;
+      match lit_value s l with
+      | 1 -> satisfied := true
+      | 0 -> ()
+      | _ ->
+          if not s.lit_mark.(l) then begin
+            s.lit_mark.(l) <- true;
+            kept.(!k) <- l;
+            incr k
+          end
+    done;
+    set_marks s kept !k false;
     if !tautology || !satisfied then no_cref
     else begin
-      let lits = Array.of_list (IS.elements !kept) in
+      let lits = if !k = n then kept else Array.sub kept 0 !k in
+      Array.sort Int.compare lits;
       match Array.length lits with
       | 0 ->
           s.ok <- false;
@@ -978,32 +1039,33 @@ let rec luby y x =
 
 (* --- Decisions --- *)
 
+(* The next decision variable, or -1 when every variable is assigned. *)
 let pick_branch_var s =
-  let random_pick =
-    if s.nvars > 0 && Ll_util.Prng.float s.prng 1.0 < random_decision_freq then begin
+  let v =
+    if s.nvars > 0 && float_of_int (Ll_util.Prng.bits53 s.prng) < random_decision_cut then begin
       let v = Ll_util.Prng.int s.prng s.nvars in
-      if s.assigns.(v) < 0 && not s.eliminated.(v) then Some v else None
+      if s.assigns.(v) < 0 && not s.eliminated.(v) then v else -1
     end
-    else None
+    else -1
   in
-  match random_pick with
-  | Some v -> Some v
-  | None ->
-      let rec next () =
-        if Heap.is_empty s.order then None
-        else
-          let v = Heap.remove_max s.order in
-          if s.assigns.(v) < 0 && not s.eliminated.(v) then Some v else next ()
-      in
-      next ()
+  let v = ref v in
+  while !v < 0 && not (Heap.is_empty s.order) do
+    let u = Heap.remove_max s.order in
+    if s.assigns.(u) < 0 && not s.eliminated.(u) then v := u
+  done;
+  !v
 
 (* --- Search --- *)
 
-type search_outcome = O_sat | O_unsat | O_restart
+type search_outcome = O_searching | O_sat | O_unsat | O_restart
 
-let record_learnt s lits lbd =
+(* Attach the clause [analyze] left in [an_learnt] (after backjumping) and
+   assert its first literal. *)
+let record_learnt s =
+  let lits = Vec.to_array s.an_learnt in
+  let lbd = lbd_of s lits in
   if Tel.enabled () then Tel.Metric.observe h_lbd (float_of_int lbd);
-  log_proof s (P_add (Array.copy lits));
+  log_proof s (P_add lits);
   s.n_learnt_literals <- s.n_learnt_literals + Array.length lits;
   match Array.length lits with
   | 1 -> enqueue s lits.(0) no_cref
@@ -1016,8 +1078,8 @@ let record_learnt s lits lbd =
 
 let search s ~assumptions ~conflict_budget ~max_learnts ~conflict_limit =
   let conflicts_here = ref 0 in
-  let outcome = ref None in
-  while !outcome = None do
+  let outcome = ref O_searching in
+  while !outcome = O_searching do
     let confl = propagate s in
     if confl >= 0 then begin
       s.n_conflicts <- s.n_conflicts + 1;
@@ -1026,19 +1088,18 @@ let search s ~assumptions ~conflict_budget ~max_learnts ~conflict_limit =
       if decision_level s = 0 then begin
         s.ok <- false;
         log_proof s (P_add [||]);
-        outcome := Some O_unsat
+        outcome := O_unsat
       end
       else begin
-        let learnt, bt_level, lbd = analyze s confl in
-        cancel_until s bt_level;
-        record_learnt s learnt lbd;
+        cancel_until s (analyze s confl);
+        record_learnt s;
         decay_var_activity s;
         decay_clause_activity s
       end
     end
     else if !conflicts_here >= conflict_budget then begin
       cancel_until s 0;
-      outcome := Some O_restart
+      outcome := O_restart
     end
     else begin
       if float_of_int (Vec.length s.learnts) >= max_learnts then reduce_db s;
@@ -1048,22 +1109,23 @@ let search s ~assumptions ~conflict_budget ~max_learnts ~conflict_limit =
         let a = assumptions.(level) in
         match lit_value s a with
         | 1 -> new_decision_level s (* dummy level; already true *)
-        | 0 -> outcome := Some O_unsat (* unsat under assumptions *)
+        | 0 -> outcome := O_unsat (* unsat under assumptions *)
         | _ ->
             new_decision_level s;
             enqueue s a no_cref
       end
       else begin
-        match pick_branch_var s with
-        | None -> outcome := Some O_sat
-        | Some v ->
-            s.n_decisions <- s.n_decisions + 1;
-            new_decision_level s;
-            enqueue s (Lit.make v s.polarity.(v)) no_cref
+        let v = pick_branch_var s in
+        if v < 0 then outcome := O_sat
+        else begin
+          s.n_decisions <- s.n_decisions + 1;
+          new_decision_level s;
+          enqueue s (Lit.make v s.polarity.(v)) no_cref
+        end
       end
     end
   done;
-  Option.get !outcome
+  !outcome
 
 let solve_core ~assumptions ~conflict_limit s =
   if not s.ok then Unsat
@@ -1099,6 +1161,7 @@ let solve_core ~assumptions ~conflict_limit s =
             ~conflict_limit
         with
         | O_sat -> Sat
+        | O_searching -> assert false
         | O_unsat ->
             cancel_until s 0;
             Unsat
@@ -1204,4 +1267,4 @@ let enable_proof s =
     invalid_arg "Solver.enable_proof: variables were already eliminated; enable before solving";
   s.proof_enabled <- true
 
-let proof s = Vec.to_list s.proof_log
+let proof s = List.rev s.proof_log

@@ -1,8 +1,12 @@
-type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
+(* Monomorphic on purpose: with [int array] storage every access compiles
+   to a plain load or store — no float-array tag check, no [caml_modify]
+   write barrier — which is what the propagation loop's watch-list
+   compaction needs. *)
+type t = { mutable data : int array; mutable len : int }
 
-let create ~dummy = { data = Array.make 8 dummy; len = 0; dummy }
+let create () = { data = Array.make 8 0; len = 0 }
 
-let make ~dummy capacity = { data = Array.make (max 8 capacity) dummy; len = 0; dummy }
+let make capacity = { data = Array.make (max 8 capacity) 0; len = 0 }
 
 let length v = v.len
 
@@ -23,7 +27,7 @@ let unsafe_get v i = Array.unsafe_get v.data i
 let unsafe_set v i x = Array.unsafe_set v.data i x
 
 let grow v =
-  let data = Array.make (2 * Array.length v.data) v.dummy in
+  let data = Array.make (2 * Array.length v.data) 0 in
   Array.blit v.data 0 data 0 v.len;
   v.data <- data
 
@@ -35,21 +39,16 @@ let push v x =
 let pop v =
   if v.len = 0 then invalid_arg "Vec.pop: empty";
   v.len <- v.len - 1;
-  let x = v.data.(v.len) in
-  v.data.(v.len) <- v.dummy;
-  x
+  Array.unsafe_get v.data v.len
 
 let last v =
   if v.len = 0 then invalid_arg "Vec.last: empty";
-  v.data.(v.len - 1)
+  Array.unsafe_get v.data (v.len - 1)
 
-let clear v =
-  Array.fill v.data 0 v.len v.dummy;
-  v.len <- 0
+let clear v = v.len <- 0
 
 let shrink v n =
   if n < 0 || n > v.len then invalid_arg "Vec.shrink";
-  Array.fill v.data n (v.len - n) v.dummy;
   v.len <- n
 
 let iter f v =
@@ -66,6 +65,8 @@ let fold f acc v =
 
 let to_list v = List.init v.len (fun i -> v.data.(i))
 
+let to_array v = Array.sub v.data 0 v.len
+
 let sort_in_place cmp v =
   let live = Array.sub v.data 0 v.len in
   Array.sort cmp live;
@@ -80,6 +81,4 @@ let filter_in_place p v =
       incr j
     end
   done;
-  let old_len = v.len in
-  v.len <- !j;
-  Array.fill v.data v.len (old_len - v.len) v.dummy
+  v.len <- !j

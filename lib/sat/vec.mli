@@ -1,41 +1,49 @@
-(** Growable arrays, used for trails, watch lists and clause databases.
+(** Growable int arrays, used for trails, watch lists, clause-reference
+    lists and solver scratch buffers.
 
-    A [dummy] element fills unused capacity; it is never observable through
-    the API. *)
+    The element type is fixed to [int] so every access is a plain load or
+    store: no generic-array dispatch and no write barrier.  Nothing in
+    this module allocates except growth ({!push} past capacity) and the
+    copying conversions ({!to_list}, {!to_array}, {!sort_in_place}). *)
 
-type 'a t
+type t
 
-val create : dummy:'a -> 'a t
-val make : dummy:'a -> int -> 'a t
-(** [make ~dummy capacity] pre-allocates capacity (length stays 0). *)
+val create : unit -> t
+val make : int -> t
+(** [make capacity] pre-allocates capacity (length stays 0). *)
 
-val length : 'a t -> int
-val is_empty : 'a t -> bool
-val get : 'a t -> int -> 'a
-val set : 'a t -> int -> 'a -> unit
+val length : t -> int
+val is_empty : t -> bool
+val get : t -> int -> int
+val set : t -> int -> int -> unit
 
-val unsafe_get : 'a t -> int -> 'a
+val unsafe_get : t -> int -> int
 (** [get] without the bounds check.  The index must be within the live
     prefix; reserved for profiled hot loops (solver propagation). *)
 
-val unsafe_set : 'a t -> int -> 'a -> unit
+val unsafe_set : t -> int -> int -> unit
 (** [set] without the bounds check; same contract as {!unsafe_get}. *)
 
-val push : 'a t -> 'a -> unit
-val pop : 'a t -> 'a
+val push : t -> int -> unit
+val pop : t -> int
 (** Removes and returns the last element.  Raises [Invalid_argument] when
     empty. *)
 
-val last : 'a t -> 'a
-val clear : 'a t -> unit
-val shrink : 'a t -> int -> unit
-(** [shrink v n] truncates to length [n] (must not exceed current length). *)
+val last : t -> int
+val clear : t -> unit
+val shrink : t -> int -> unit
+(** [shrink v n] truncates to length [n] (must not exceed current length).
+    Capacity is kept. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-val fold : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
-val to_list : 'a t -> 'a list
-val sort_in_place : ('a -> 'a -> int) -> 'a t -> unit
+val iter : (int -> unit) -> t -> unit
+val fold : ('b -> int -> 'b) -> 'b -> t -> 'b
+val to_list : t -> int list
+
+val to_array : t -> int array
+(** A fresh copy of the live prefix. *)
+
+val sort_in_place : (int -> int -> int) -> t -> unit
 (** Sorts the live prefix. *)
 
-val filter_in_place : ('a -> bool) -> 'a t -> unit
+val filter_in_place : (int -> bool) -> t -> unit
 (** Keeps elements satisfying the predicate, preserving order. *)

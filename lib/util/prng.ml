@@ -1,41 +1,50 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: a [mutable int64]
+   record field would box a fresh [int64] on every draw.  With [bits64]
+   inlined, the draws that return an [int] ([int], [bits53]) allocate
+   nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let g = Bytes.create 8 in
+  Bytes.set_int64_ne g 0 s;
+  g
 
-let copy g = { state = g.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* SplitMix64 finalizer (Steele et al., "Fast splittable pseudorandom number
    generators"). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  mix g.state
+let[@inline] bits64 g =
+  let s = Int64.add (Bytes.get_int64_ne g 0) golden_gamma in
+  Bytes.set_int64_ne g 0 s;
+  mix s
 
-let split g =
-  let seed = bits64 g in
-  { state = mix seed }
+let split g = of_state (mix (bits64 g))
 
 let bool g = Int64.compare (Int64.logand (bits64 g) 1L) 0L <> 0
 
+let bits53 g = Int64.to_int (Int64.shift_right_logical (bits64 g) 11)
+
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling on the top bits to avoid modulo bias. *)
-  let rec draw () =
-    let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 1) in
-    let v = r mod bound in
-    if r - v + (bound - 1) < 0 then draw () else v
-  in
-  draw ()
+  (* Rejection sampling on the top 63 bits to avoid modulo bias.  As an
+     OCaml int that word is negative half the time; a negative draw is
+     redrawn, so the result is never negative. *)
+  let r = ref (Int64.to_int (Int64.shift_right_logical (bits64 g) 1)) in
+  while !r < 0 || !r - (!r mod bound) + (bound - 1) < 0 do
+    r := Int64.to_int (Int64.shift_right_logical (bits64 g) 1)
+  done;
+  !r mod bound
 
-let float g bound =
-  let r = Int64.to_float (Int64.shift_right_logical (bits64 g) 11) in
-  bound *. (r /. 9007199254740992.0)
+let float g bound = bound *. (float_of_int (bits53 g) /. 9007199254740992.0)
 
 let shuffle g a =
   for i = Array.length a - 1 downto 1 do

@@ -27,8 +27,15 @@ val bits64 : t -> int64
 val bool : t -> bool
 (** Uniform boolean. *)
 
+val bits53 : t -> int
+(** The top 53 bits of the next {!bits64} output, as a non-negative int:
+    [float g 1.0 = float_of_int (bits53 g) /. 2{^53}] draw for draw.
+    Allocates nothing, so hot loops can test [float_of_int (bits53 g) < p
+    *. 2{^53}] instead of drawing a boxed float. *)
+
 val int : t -> int -> int
-(** [int g bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
+(** [int g bound] is uniform in [\[0, bound)].  [bound] must be positive.
+    Allocates nothing. *)
 
 val float : t -> float -> float
 (** [float g bound] is uniform in [\[0, bound)]. *)

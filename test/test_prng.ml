@@ -91,6 +91,71 @@ let test_choose () =
     Alcotest.(check bool) "member" true (Array.mem c a)
   done
 
+(* First outputs per seed, pinned from the generator as it stood before
+   its state moved to an unboxed buffer.  Seeds 24 and 655 are the XOR and
+   LUT lock draws of the time-to-key benchmark; 42 is the common default. *)
+let pinned =
+  [
+    ( 42,
+      [ 0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L; 0x581ce1ff0e4ae394L ],
+      [ 145; 929; 882; 625; 462; 2 ],
+      [ "0x1.7bae644c5fd6dp-1"; "0x1.477f199d93378p-3"; "0x1.1d499d5c4c3e6p-2"; "0x1.607387fc392b8p-2" ],
+      (0xc5a57e8172f0a9d2L, 0x28efe333b266f103L) );
+    ( 24,
+      [ 0xaac8c00000a81e44L; 0xa56a748bb815cbabL; 0x724c2795fbb072eL; 0x90de9a11db7fe1f7L ],
+      [ 559; 864; 179; 770; 931; 724 ],
+      [ "0x1.5591800001503p-1"; "0x1.4ad4e917702b9p-1"; "0x1.c9309e57eecp-6"; "0x1.21bd3423b6ffcp-1" ],
+      (0x8919ce108a6e380L, 0xa56a748bb815cbabL) );
+    ( 655,
+      [ 0x94a15a40e2b2dc63L; 0xc9867d636e44c7e4L; 0xf35c6ce4c8684c8aL; 0x32f825a4b63480f5L ],
+      [ 970; 66; 643; 699; 220; 131 ],
+      [ "0x1.2942b481c565bp-1"; "0x1.930cfac6dc898p-1"; "0x1.e6b8d9c990d09p-1"; "0x1.97c12d25b1a4p-3" ],
+      (0xb711707054fdd3beL, 0xc9867d636e44c7e4L) );
+  ]
+
+let test_pinned_streams () =
+  List.iter
+    (fun (seed, bits, ints, floats, (child, parent)) ->
+      let g = Prng.create seed in
+      List.iter (fun b -> Alcotest.(check int64) "bits64" b (Prng.bits64 g)) bits;
+      let g = Prng.create seed in
+      List.iter (fun i -> Alcotest.(check int) "int 1000" i (Prng.int g 1000)) ints;
+      let g = Prng.create seed in
+      List.iter
+        (fun f -> Alcotest.(check (float 0.0)) "float 1.0" (float_of_string f) (Prng.float g 1.0))
+        floats;
+      let g = Prng.create seed in
+      List.iter
+        (fun f ->
+          Alcotest.(check (float 0.0)) "bits53 scaled" (float_of_string f)
+            (float_of_int (Prng.bits53 g) /. 9007199254740992.0))
+        floats;
+      let g = Prng.create seed in
+      let c = Prng.split g in
+      Alcotest.(check int64) "split child" child (Prng.bits64 c);
+      Alcotest.(check int64) "split parent" parent (Prng.bits64 g))
+    pinned
+
+let test_int_large_bound () =
+  (* Half of the raw 63-bit draws are negative as OCaml ints; they must be
+     rejected, not reduced into a negative result. *)
+  let g = Prng.create 42 in
+  for _ = 1 to 1000 do
+    let v = Prng.int g max_int in
+    Alcotest.(check bool) "in range" true (v >= 0)
+  done
+
+let test_int_draws_allocate_nothing () =
+  let g = Prng.create 24 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Prng.int g 1000 + Prng.bits53 g
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (w1 -. w0);
+  Alcotest.(check bool) "drew" true (!acc <> 0)
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -106,4 +171,7 @@ let suite =
     Alcotest.test_case "sample distinct sorted" `Quick test_sample_distinct_sorted;
     Alcotest.test_case "sample edge cases" `Quick test_sample_full_range;
     Alcotest.test_case "choose membership" `Quick test_choose;
+    Alcotest.test_case "pinned streams" `Quick test_pinned_streams;
+    Alcotest.test_case "int large bound" `Quick test_int_large_bound;
+    Alcotest.test_case "int draws allocate nothing" `Quick test_int_draws_allocate_nothing;
   ]

@@ -220,6 +220,29 @@ let test_arena_gc_unsat_pressure () =
   Alcotest.(check bool) "arena compacted" true (st.Solver.arena_gcs >= 1);
   Alcotest.(check bool) "arena non-trivial" true (st.Solver.arena_words > 0)
 
+(* Allocation budget of the CDCL loop (inprocessing off, so vivification
+   rounds do not count).  Propagation, analysis scratch and decisions
+   allocate nothing; a conflict pays for its learnt clause array (about
+   18 literals here) plus amortized database maintenance.  On PHP(8, 7)
+   that measured 30.7 minor words per conflict on OCaml 5.1.1 (x86-64);
+   the bound is twice that. *)
+let words_per_conflict_bound = 60.0
+
+let test_words_per_conflict () =
+  let s = Solver.create ~simp:false () in
+  add_pigeonhole s 7;
+  let w0 = Gc.minor_words () in
+  let r = Solver.solve s in
+  let w1 = Gc.minor_words () in
+  Alcotest.(check bool) "unsat" true (r = Solver.Unsat);
+  let conflicts = (Solver.stats s).Solver.conflicts in
+  Alcotest.(check bool) "searched" true (conflicts > 1000);
+  let per_conflict = (w1 -. w0) /. float_of_int conflicts in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words/conflict <= %.0f" per_conflict words_per_conflict_bound)
+    true
+    (per_conflict <= words_per_conflict_bound)
+
 let test_model_correct_under_arena_gc () =
   (* Hard satisfiable 3-SAT near the phase transition: the arena is
      compacted mid-search, relocating crefs in watch lists and reasons.
@@ -336,6 +359,7 @@ let suite =
     Alcotest.test_case "xor chain instance" `Quick test_xor_chain_instance;
     Alcotest.test_case "import clauses" `Quick test_import_clauses;
     Alcotest.test_case "arena gc under unsat pressure" `Quick test_arena_gc_unsat_pressure;
+    Alcotest.test_case "words per conflict" `Quick test_words_per_conflict;
     Alcotest.test_case "model correct under arena gc" `Quick test_model_correct_under_arena_gc;
     prop_random_3sat;
     prop_incremental_differential;

@@ -1,7 +1,7 @@
 module Vec = Ll_sat.Vec
 
 let test_push_get () =
-  let v = Vec.create ~dummy:0 in
+  let v = Vec.create () in
   Alcotest.(check bool) "empty" true (Vec.is_empty v);
   for i = 0 to 99 do
     Vec.push v i
@@ -12,19 +12,19 @@ let test_push_get () =
   done
 
 let test_set () =
-  let v = Vec.create ~dummy:0 in
+  let v = Vec.create () in
   Vec.push v 1;
   Vec.set v 0 42;
   Alcotest.(check int) "set" 42 (Vec.get v 0)
 
 let test_bounds () =
-  let v = Vec.create ~dummy:0 in
+  let v = Vec.create () in
   Vec.push v 1;
   Alcotest.check_raises "oob" (Invalid_argument "Vec: index out of range") (fun () ->
       ignore (Vec.get v 1))
 
 let test_pop_last () =
-  let v = Vec.create ~dummy:0 in
+  let v = Vec.create () in
   Vec.push v 1;
   Vec.push v 2;
   Alcotest.(check int) "last" 2 (Vec.last v);
@@ -35,7 +35,7 @@ let test_pop_last () =
       ignore (Vec.pop v))
 
 let test_clear_shrink () =
-  let v = Vec.create ~dummy:0 in
+  let v = Vec.create () in
   for i = 0 to 9 do
     Vec.push v i
   done;
@@ -46,7 +46,7 @@ let test_clear_shrink () =
   Alcotest.(check int) "cleared" 0 (Vec.length v)
 
 let test_iter_fold_to_list () =
-  let v = Vec.create ~dummy:0 in
+  let v = Vec.create () in
   List.iter (Vec.push v) [ 1; 2; 3 ];
   Alcotest.(check (list int)) "to_list" [ 1; 2; 3 ] (Vec.to_list v);
   Alcotest.(check int) "fold" 6 (Vec.fold ( + ) 0 v);
@@ -55,7 +55,7 @@ let test_iter_fold_to_list () =
   Alcotest.(check int) "iter" 6 !sum
 
 let test_sort_filter () =
-  let v = Vec.create ~dummy:0 in
+  let v = Vec.create () in
   List.iter (Vec.push v) [ 3; 1; 2; 5; 4 ];
   Vec.sort_in_place compare v;
   Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (Vec.to_list v);
@@ -64,7 +64,7 @@ let test_sort_filter () =
 
 let test_unsafe_accessors () =
   (* Within the live prefix, unsafe accessors agree with the checked ones. *)
-  let v = Vec.create ~dummy:0 in
+  let v = Vec.create () in
   for i = 0 to 99 do
     Vec.push v (i * 3)
   done;
@@ -75,12 +75,35 @@ let test_unsafe_accessors () =
   Alcotest.(check int) "unsafe_set visible" (-7) (Vec.get v 42)
 
 let test_growth () =
-  let v = Vec.make ~dummy:(-1) 2 in
+  let v = Vec.make 2 in
   for i = 0 to 9999 do
     Vec.push v i
   done;
   Alcotest.(check int) "length" 10000 (Vec.length v);
   Alcotest.(check int) "spot check" 9999 (Vec.get v 9999)
+
+let test_zero_allocation () =
+  (* Pre-sized: push, get, set and shrink are plain int loads and stores. *)
+  let v = Vec.make 16 in
+  let sum = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Vec.push v i;
+    Vec.set v (Vec.length v - 1) (Vec.get v 0 + i);
+    sum := !sum + Vec.unsafe_get v (Vec.length v - 1);
+    if Vec.length v = 16 then Vec.shrink v 0
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words over 10k operations" 0.0 (w1 -. w0);
+  Alcotest.(check bool) "loop ran" true (!sum > 0)
+
+let test_to_array () =
+  let v = Vec.create () in
+  List.iter (Vec.push v) [ 4; 5; 6; 7 ];
+  Vec.shrink v 3;
+  let a = Vec.to_array v in
+  Vec.set v 0 0;
+  Alcotest.(check (array int)) "live prefix, copied" [| 4; 5; 6 |] a
 
 let suite =
   [
@@ -93,4 +116,6 @@ let suite =
     Alcotest.test_case "sort/filter" `Quick test_sort_filter;
     Alcotest.test_case "unsafe accessors" `Quick test_unsafe_accessors;
     Alcotest.test_case "growth" `Quick test_growth;
+    Alcotest.test_case "to_array" `Quick test_to_array;
+    Alcotest.test_case "zero allocation" `Quick test_zero_allocation;
   ]
