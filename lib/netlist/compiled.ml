@@ -7,8 +7,8 @@ let m_cofactors = Tel.Metric.counter "kernel.cofactors"
 
 let m_lanes = Tel.Metric.counter "kernel.lanes"
 
-(* Opcodes.  The kernels match on these literally; keep the constants and
-   the match arms in sync. *)
+(* Opcodes.  [run] treats the range [op_and .. op_buf] as the simple
+   gates; keep them contiguous. *)
 let op_const = 0
 
 let op_input = 1
@@ -48,6 +48,8 @@ type t = {
   fanin_off : int array;
   fanin_idx : int array;
   luts : Bitvec.t array;
+  lut_words : Bytes.t;
+  lut_base : int array;
   outputs : int array;
   input_node : int array;
   key_node : int array;
@@ -111,6 +113,18 @@ let compile c =
             fanins))
     c.Circuit.nodes;
   fanin_off.(n) <- !pos;
+  let luts = Array.of_list (List.rev !luts) in
+  (* Every table entry as a broadcast word, tables back to back, so the
+     kernel's LUT arm reads its leaves without a call. *)
+  let lut_base = Array.make (Array.length luts + 1) 0 in
+  Array.iteri (fun j t -> lut_base.(j + 1) <- lut_base.(j) + Bitvec.length t) luts;
+  let lut_words = Bytes.make (8 * lut_base.(Array.length luts)) '\000' in
+  Array.iteri
+    (fun j t ->
+      for e = 0 to Bitvec.length t - 1 do
+        if Bitvec.get t e then Bytes.set_int64_ne lut_words (8 * (lut_base.(j) + e)) (-1L)
+      done)
+    luts;
   let p =
     {
       id = Atomic.fetch_and_add next_id 1;
@@ -124,7 +138,9 @@ let compile c =
       arg;
       fanin_off;
       fanin_idx;
-      luts = Array.of_list (List.rev !luts);
+      luts;
+      lut_words;
+      lut_base;
       outputs = Circuit.output_nodes c;
       input_node = c.Circuit.inputs;
       key_node = c.Circuit.keys;
@@ -159,8 +175,8 @@ let cached c =
 
 type scratch = {
   for_id : int;
-  vals : Bytes.t;
-  lanes : int64 array;
+  words : Bytes.t;
+  lut : Bytes.t;
   tern : Bytes.t;
   live : Bytes.t;
   lits : int array;
@@ -169,10 +185,12 @@ type scratch = {
 
 let scratch p =
   let n = max 1 p.num_nodes in
+  (* The LUT mux tree's first level holds half a table's entries. *)
+  let widest = Array.fold_left (fun m t -> max m (Bitvec.length t)) 2 p.luts in
   {
     for_id = p.id;
-    vals = Bytes.make n '\000';
-    lanes = Array.make n 0L;
+    words = Bytes.make (8 * n) '\000';
+    lut = Bytes.make (8 * (widest / 2)) '\000';
     tern = Bytes.make n '\000';
     live = Bytes.make n '\000';
     lits = Array.make n 0;
@@ -212,77 +230,103 @@ let check_scratch p s =
   if s.for_id <> p.id then invalid_arg "Compiled: scratch belongs to another program"
 
 (* ------------------------------------------------------------------ *)
-(* Scalar kernel                                                       *)
+(* Word kernel                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Core loop; assumes port nodes already hold their values in [vals]. *)
-let run_scalar p s =
-  let op = p.op and arg = p.arg in
-  let off = p.fanin_off and idx = p.fanin_idx in
-  let vals = s.vals in
-  let n = p.num_nodes in
-  for i = 0 to n - 1 do
+(* Node [i]'s value is the native-endian 64-bit word at byte [8 * i] of
+   [scratch.words]; bit [j] is pattern [j].  These primitives read and
+   write it unboxed and unchecked. *)
+external get_word : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external set_word : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Fanin [k]'s word, in CSR position. *)
+let[@inline] fanin w idx k = get_word w (Array.unsafe_get idx k lsl 3)
+
+(* [high] where [sel] is set, [low] elsewhere, bit by bit. *)
+let[@inline] mux sel low high = Int64.logxor low (Int64.logand sel (Int64.logxor low high))
+
+(* 0/1 broadcast to 0L/-1L: a constant node or a scalar port value. *)
+let[@inline] broadcast b = Int64.neg (Int64.of_int (Bool.to_int b))
+
+(* A LUT node: a mux tree over its table.  Fanin [lo + k] is bit [k] of
+   the table index, so level 0 selects on fanin [lo] between adjacent
+   table words, and level [k] selects on fanin [lo + k] between adjacent
+   words of level [k - 1], halving the width each time.  Kept out of
+   line so its registers do not crowd the main loop's. *)
+let[@inline never] run_lut p s i lo hi =
+  let w = s.words and idx = p.fanin_idx in
+  let tab = p.lut_words
+  and base = Array.unsafe_get p.lut_base (Array.unsafe_get p.arg i) lsl 3 in
+  let m = hi - lo in
+  if m = 0 then set_word w (i lsl 3) (get_word tab base)
+  else begin
+    let buf = s.lut in
+    let sel = fanin w idx lo in
+    for j = 0 to (1 lsl (m - 1)) - 1 do
+      set_word buf (j lsl 3)
+        (mux sel (get_word tab (base + (j lsl 4))) (get_word tab (base + (j lsl 4) + 8)))
+    done;
+    for k = 1 to m - 1 do
+      let sel = fanin w idx (lo + k) in
+      for j = 0 to (1 lsl (m - 1 - k)) - 1 do
+        set_word buf (j lsl 3) (mux sel (get_word buf (j lsl 4)) (get_word buf ((j lsl 4) + 8)))
+      done
+    done;
+    set_word w (i lsl 3) (get_word buf 0)
+  end
+
+(* The AND, OR, XOR and invert masks of every simple gate opcode, four
+   words per opcode: a simple gate's word is
+   [((and & m_and) | (or & m_or) | (xor & m_xor)) ^ m_inv] over the AND,
+   OR and XOR of its fanin words.  NOT is an inverted one-fanin AND, BUF
+   a one-fanin AND. *)
+let gate_masks =
+  let b = Bytes.make (32 * (op_lut + 1)) '\000' in
+  let set o m = Bytes.set_int64_ne b ((o lsl 5) + (m lsl 3)) (-1L) in
+  List.iter (fun o -> set o 0) [ op_and; op_nand; op_not; op_buf ];
+  List.iter (fun o -> set o 1) [ op_or; op_nor ];
+  List.iter (fun o -> set o 2) [ op_xor; op_xnor ];
+  List.iter (fun o -> set o 3) [ op_nand; op_nor; op_xnor; op_not ];
+  b
+
+(* Core loop; assumes port nodes already hold their words.  Simple gates
+   (opcodes [op_and] to [op_buf], the bulk of any netlist) share one
+   branch-free formula, so the loop branches on node values never and on
+   opcodes only to set MUX, LUT, constant and port nodes apart. *)
+let run p s =
+  let op = p.op and off = p.fanin_off and idx = p.fanin_idx in
+  let w = s.words in
+  for i = 0 to p.num_nodes - 1 do
     let o = Array.unsafe_get op i in
-    if o > op_key then begin
-      let lo = Array.unsafe_get off i and hi = Array.unsafe_get off (i + 1) in
-      let v =
-        if o = op_and || o = op_nand then begin
-          let acc = ref true in
-          for k = lo to hi - 1 do
-            if Bytes.unsafe_get vals (Array.unsafe_get idx k) = '\000' then acc := false
-          done;
-          if o = op_and then !acc else not !acc
-        end
-        else if o = op_or || o = op_nor then begin
-          let acc = ref false in
-          for k = lo to hi - 1 do
-            if Bytes.unsafe_get vals (Array.unsafe_get idx k) <> '\000' then acc := true
-          done;
-          if o = op_or then !acc else not !acc
-        end
-        else if o = op_xor || o = op_xnor then begin
-          let acc = ref false in
-          for k = lo to hi - 1 do
-            if Bytes.unsafe_get vals (Array.unsafe_get idx k) <> '\000' then
-              acc := not !acc
-          done;
-          if o = op_xor then !acc else not !acc
-        end
-        else if o = op_not then
-          Bytes.unsafe_get vals (Array.unsafe_get idx lo) = '\000'
-        else if o = op_buf then
-          Bytes.unsafe_get vals (Array.unsafe_get idx lo) <> '\000'
-        else if o = op_mux then begin
-          let sel = Bytes.unsafe_get vals (Array.unsafe_get idx lo) <> '\000' in
-          Bytes.unsafe_get vals (Array.unsafe_get idx (if sel then lo + 2 else lo + 1))
-          <> '\000'
-        end
-        else begin
-          (* op_lut *)
-          let t = Array.unsafe_get p.luts (Array.unsafe_get arg i) in
-          let v = ref 0 in
-          for k = hi - 1 downto lo do
-            v :=
-              (!v lsl 1)
-              lor
-              if Bytes.unsafe_get vals (Array.unsafe_get idx k) = '\000' then 0 else 1
-          done;
-          Bitvec.get t !v
-        end
-      in
-      Bytes.unsafe_set vals i (if v then '\001' else '\000')
+    let lo = Array.unsafe_get off i and hi = Array.unsafe_get off (i + 1) in
+    if o > op_key && o < op_mux then begin
+      let a = ref (-1L) and r = ref 0L and x = ref 0L in
+      for k = lo to hi - 1 do
+        let v = fanin w idx k in
+        a := Int64.logand !a v;
+        r := Int64.logor !r v;
+        x := Int64.logxor !x v
+      done;
+      let m = o lsl 5 in
+      set_word w (i lsl 3)
+        (Int64.logxor
+           (get_word gate_masks (m + 24))
+           (Int64.logor
+              (Int64.logand !a (get_word gate_masks m))
+              (Int64.logor
+                 (Int64.logand !r (get_word gate_masks (m + 8)))
+                 (Int64.logand !x (get_word gate_masks (m + 16))))))
     end
-    else if o = op_const then
-      Bytes.unsafe_set vals i (if Array.unsafe_get arg i = 1 then '\001' else '\000')
+    else if o = op_mux then
+      set_word w (i lsl 3)
+        (mux (fanin w idx lo) (fanin w idx (lo + 1)) (fanin w idx (lo + 2)))
+    else if o = op_lut then run_lut p s i lo hi
+    else if o = op_const then set_word w (i lsl 3) (broadcast (Array.unsafe_get p.arg i = 1))
   done
 
-let set_ports_bool p s ~inputs ~keys =
-  Array.iteri
-    (fun pos j -> Bytes.unsafe_set s.vals j (if inputs.(pos) then '\001' else '\000'))
-    p.input_node;
-  Array.iteri
-    (fun pos j -> Bytes.unsafe_set s.vals j (if keys.(pos) then '\001' else '\000'))
-    p.key_node
+(* Scalar calls run the kernel on broadcast words and read bit 0 back. *)
+let bit0 s j = Int64.logand (get_word s.words (j lsl 3)) 1L <> 0L
 
 let eval_into p s ~inputs ~keys =
   check_scratch p s;
@@ -290,15 +334,20 @@ let eval_into p s ~inputs ~keys =
     invalid_arg "Compiled.eval_into: input vector length mismatch";
   if Array.length keys <> p.num_keys then
     invalid_arg "Compiled.eval_into: key vector length mismatch";
-  set_ports_bool p s ~inputs ~keys;
-  run_scalar p s;
+  for pos = 0 to p.num_inputs - 1 do
+    set_word s.words (p.input_node.(pos) lsl 3) (broadcast inputs.(pos))
+  done;
+  for pos = 0 to p.num_keys - 1 do
+    set_word s.words (p.key_node.(pos) lsl 3) (broadcast keys.(pos))
+  done;
+  run p s;
   Tel.Metric.incr m_lanes
 
-let node_val s i = Bytes.get s.vals i <> '\000'
+let node_val s i = Int64.logand (Bytes.get_int64_ne s.words (i lsl 3)) 1L <> 0L
 
-let output_val p s j = Bytes.get s.vals p.outputs.(j) <> '\000'
+let output_val p s j = bit0 s p.outputs.(j)
 
-let read_outputs p s = Array.map (fun j -> Bytes.get s.vals j <> '\000') p.outputs
+let read_outputs p s = Array.map (bit0 s) p.outputs
 
 let eval p ~inputs ~keys =
   let s = local_scratch p in
@@ -311,82 +360,15 @@ let eval_bv p ~inputs ~keys =
   if Bitvec.length keys <> p.num_keys then
     invalid_arg "Compiled.eval_bv: key vector length mismatch";
   let s = local_scratch p in
-  Array.iteri
-    (fun pos j -> Bytes.unsafe_set s.vals j (if Bitvec.get inputs pos then '\001' else '\000'))
-    p.input_node;
-  Array.iteri
-    (fun pos j -> Bytes.unsafe_set s.vals j (if Bitvec.get keys pos then '\001' else '\000'))
-    p.key_node;
-  run_scalar p s;
+  for pos = 0 to p.num_inputs - 1 do
+    set_word s.words (p.input_node.(pos) lsl 3) (broadcast (Bitvec.get inputs pos))
+  done;
+  for pos = 0 to p.num_keys - 1 do
+    set_word s.words (p.key_node.(pos) lsl 3) (broadcast (Bitvec.get keys pos))
+  done;
+  run p s;
   Tel.Metric.incr m_lanes;
-  Bitvec.init p.num_outputs (fun j -> Bytes.get s.vals p.outputs.(j) <> '\000')
-
-(* ------------------------------------------------------------------ *)
-(* 64-lane packed kernel                                               *)
-(* ------------------------------------------------------------------ *)
-
-let run_lanes p s =
-  let op = p.op and arg = p.arg in
-  let off = p.fanin_off and idx = p.fanin_idx in
-  let lanes = s.lanes in
-  let n = p.num_nodes in
-  for i = 0 to n - 1 do
-    let o = Array.unsafe_get op i in
-    if o > op_key then begin
-      let lo = Array.unsafe_get off i and hi = Array.unsafe_get off (i + 1) in
-      let v =
-        if o = op_and || o = op_nand then begin
-          let acc = ref (-1L) in
-          for k = lo to hi - 1 do
-            acc := Int64.logand !acc (Array.unsafe_get lanes (Array.unsafe_get idx k))
-          done;
-          if o = op_and then !acc else Int64.lognot !acc
-        end
-        else if o = op_or || o = op_nor then begin
-          let acc = ref 0L in
-          for k = lo to hi - 1 do
-            acc := Int64.logor !acc (Array.unsafe_get lanes (Array.unsafe_get idx k))
-          done;
-          if o = op_or then !acc else Int64.lognot !acc
-        end
-        else if o = op_xor || o = op_xnor then begin
-          let acc = ref 0L in
-          for k = lo to hi - 1 do
-            acc := Int64.logxor !acc (Array.unsafe_get lanes (Array.unsafe_get idx k))
-          done;
-          if o = op_xor then !acc else Int64.lognot !acc
-        end
-        else if o = op_not then
-          Int64.lognot (Array.unsafe_get lanes (Array.unsafe_get idx lo))
-        else if o = op_buf then Array.unsafe_get lanes (Array.unsafe_get idx lo)
-        else if o = op_mux then begin
-          let sel = Array.unsafe_get lanes (Array.unsafe_get idx lo) in
-          let a = Array.unsafe_get lanes (Array.unsafe_get idx (lo + 1)) in
-          let b = Array.unsafe_get lanes (Array.unsafe_get idx (lo + 2)) in
-          Int64.logor (Int64.logand sel b) (Int64.logand (Int64.lognot sel) a)
-        end
-        else begin
-          (* op_lut: bit-serial over the lanes; LUT gates are rare. *)
-          let t = Array.unsafe_get p.luts (Array.unsafe_get arg i) in
-          let out = ref 0L in
-          for lane = 0 to 63 do
-            let v = ref 0 in
-            for k = hi - 1 downto lo do
-              let w = Array.unsafe_get lanes (Array.unsafe_get idx k) in
-              v :=
-                (!v lsl 1)
-                lor Int64.to_int (Int64.logand (Int64.shift_right_logical w lane) 1L)
-            done;
-            if Bitvec.get t !v then out := Int64.logor !out (Int64.shift_left 1L lane)
-          done;
-          !out
-        end
-      in
-      Array.unsafe_set lanes i v
-    end
-    else if o = op_const then
-      Array.unsafe_set lanes i (if Array.unsafe_get arg i = 1 then -1L else 0L)
-  done
+  Bitvec.init p.num_outputs (fun j -> bit0 s p.outputs.(j))
 
 let eval_lanes_into p s ~inputs ~keys =
   check_scratch p s;
@@ -394,14 +376,18 @@ let eval_lanes_into p s ~inputs ~keys =
     invalid_arg "Compiled.eval_lanes_into: input vector length mismatch";
   if Array.length keys <> p.num_keys then
     invalid_arg "Compiled.eval_lanes_into: key vector length mismatch";
-  Array.iteri (fun pos j -> s.lanes.(j) <- inputs.(pos)) p.input_node;
-  Array.iteri (fun pos j -> s.lanes.(j) <- keys.(pos)) p.key_node;
-  run_lanes p s;
+  for pos = 0 to p.num_inputs - 1 do
+    set_word s.words (p.input_node.(pos) lsl 3) inputs.(pos)
+  done;
+  for pos = 0 to p.num_keys - 1 do
+    set_word s.words (p.key_node.(pos) lsl 3) keys.(pos)
+  done;
+  run p s;
   Tel.Metric.add m_lanes 64
 
-let output_lanes p s j = s.lanes.(p.outputs.(j))
+let output_lanes p s j = get_word s.words (p.outputs.(j) lsl 3)
 
-let read_output_lanes p s = Array.map (fun j -> s.lanes.(j)) p.outputs
+let read_output_lanes p s = Array.map (fun j -> get_word s.words (j lsl 3)) p.outputs
 
 let eval_lanes p ~inputs ~keys =
   let s = local_scratch p in

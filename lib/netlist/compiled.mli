@@ -5,8 +5,14 @@
     run over it with caller-owned scratch buffers and zero per-gate
     allocation:
 
-    - scalar and 64-lane packed simulation ({!eval_into},
-      {!eval_lanes_into});
+    - one simulation kernel over unboxed 64-bit words, one word per node
+      in a [Bytes] buffer: bit [j] of every word is pattern [j].  Packed
+      calls ({!eval_lanes_into}) simulate 64 patterns at once; scalar
+      calls ({!eval_into}, {!eval}, {!eval_bv}) run the same kernel on
+      broadcast words (false = [0L], true = [-1L]) and read bit 0.  The
+      kernel never branches on node values: every AND/OR/XOR-family,
+      NOT and BUF node goes through one masked formula, a MUX is a
+      bitwise select and a LUT a mux tree over its table words;
     - an in-place ternary (0/1/X) constant-propagation cofactor pass that
       pins every primary input and leaves key inputs symbolic
       ({!cofactor_into}), the substrate of the per-DIP constraint
@@ -41,13 +47,17 @@ type t = private {
   fanin_off : int array;  (** CSR offsets, length [num_nodes + 1] *)
   fanin_idx : int array;  (** CSR fanin node indices, in fanin order *)
   luts : Ll_util.Bitvec.t array;  (** LUT truth tables, in [arg] order *)
+  lut_words : Bytes.t;
+      (** every LUT table entry as a native-endian 64-bit word, [0L] or
+          [-1L], tables back to back in [luts] order *)
+  lut_base : int array;  (** word offset of each LUT's table in [lut_words] *)
   outputs : int array;  (** driving node of every output, port order *)
   input_node : int array;  (** node index of every primary input port *)
   key_node : int array;  (** node index of every key port *)
 }
 
-(** Opcodes ([op] entries).  Fixed small ints so kernel dispatch compiles
-    to a jump table; exposed for the Tseitin emitter. *)
+(** Opcodes ([op] entries), fixed small ints; exposed for the Tseitin
+    emitter.  The simple gates [op_and] .. [op_buf] are contiguous. *)
 
 val op_const : int
 
@@ -89,8 +99,10 @@ val cached : Circuit.t -> t
 
 type scratch = private {
   for_id : int;  (** the program this scratch was sized for *)
-  vals : Bytes.t;  (** scalar node values, ['\000']/['\001'] *)
-  lanes : int64 array;  (** packed node values, one lane per bit *)
+  words : Bytes.t;
+      (** node values after {!eval_into} / {!eval_lanes_into}: node [i]
+          is the native-endian 64-bit word at byte [8 * i] *)
+  lut : Bytes.t;  (** word buffer for the LUT mux tree *)
   tern : Bytes.t;  (** ternary node values after {!cofactor_into}: 0/1/2=X *)
   live : Bytes.t;  (** 1 = node needed by a non-constant output *)
   lits : int array;  (** per-node literal slots for the Tseitin emitter *)
@@ -111,15 +123,17 @@ val local_scratch : t -> scratch
 (** {1 Simulation kernels} *)
 
 val eval_into : t -> scratch -> inputs:bool array -> keys:bool array -> unit
-(** Scalar simulation of every node into [scratch.vals].  Raises
-    [Invalid_argument] on port-count mismatches. *)
+(** Scalar simulation of every node into [scratch.words]: each port is
+    broadcast to a whole word, so every node word comes out [0L] or
+    [-1L].  Allocates nothing.  Raises [Invalid_argument] on port-count
+    mismatches. *)
 
 val eval_lanes_into : t -> scratch -> inputs:int64 array -> keys:int64 array -> unit
-(** 64-lane packed simulation into [scratch.lanes]: bit [j] of every word
-    is pattern [j]. *)
+(** 64-lane packed simulation into [scratch.words]: bit [j] of every word
+    is pattern [j].  Same kernel as {!eval_into}; allocates nothing. *)
 
 val node_val : scratch -> int -> bool
-(** Scalar value of a node after {!eval_into}. *)
+(** Scalar value (bit 0 of the word) of a node after {!eval_into}. *)
 
 val output_val : t -> scratch -> int -> bool
 (** Scalar value of output port [j] after {!eval_into}. *)

@@ -912,31 +912,64 @@ let simp_replace_clause s c keep =
 
 (* Learnt clauses mentioning an eliminated variable could still propagate
    it, breaking the elimination invariant (the variable must stay free so
-   model extension can choose it).  Purge them at elimination time. *)
-let purge_learnts_of s v =
+   model extension can choose it).  Purge them at elimination time.
+
+   Once a session's initial strip is done it only marks learnts, never
+   adds or rewrites them, so one per-variable index of the live learnts,
+   built at the session's first elimination, answers every elimination of
+   that session: CSR offsets per variable over crefs in [s.learnts] order.
+   Each elimination then visits only the learnts that mention its
+   variable, and purges them in the same order as a rescan of
+   [s.learnts] would. *)
+type learnt_index = { l_off : int array; l_crefs : int array }
+
+let build_learnt_index s =
+  let n = s.nvars in
+  let off = Array.make (n + 1) 0 in
   Vec.iter
     (fun c ->
-      if not (clause_marked s c) then begin
-        let n = clause_size s c in
-        let hit = ref false in
-        for k = 0 to n - 1 do
-          if Lit.var (clause_lit s c k) = v then hit := true
-        done;
-        if !hit then begin
-          log_proof s (P_delete (clause_lits s c));
-          detach_clause s c;
-          clear_reasons_of s c;
-          mark_clause s c
-        end
-      end)
-    s.learnts
+      if not (clause_marked s c) then
+        for k = 0 to clause_size s c - 1 do
+          let v = Lit.var (clause_lit s c k) in
+          off.(v + 1) <- off.(v + 1) + 1
+        done)
+    s.learnts;
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v + 1) + off.(v)
+  done;
+  let crefs = Array.make off.(n) 0 in
+  let fill = Array.sub off 0 n in
+  Vec.iter
+    (fun c ->
+      if not (clause_marked s c) then
+        for k = 0 to clause_size s c - 1 do
+          let v = Lit.var (clause_lit s c k) in
+          crefs.(fill.(v)) <- c;
+          fill.(v) <- fill.(v) + 1
+        done)
+    s.learnts;
+  { l_off = off; l_crefs = crefs }
 
-let simp_eliminate_var s v =
+let purge_learnts_of s idx v =
+  for i = idx.l_off.(v) to idx.l_off.(v + 1) - 1 do
+    let c = idx.l_crefs.(i) in
+    if not (clause_marked s c) then begin
+      log_proof s (P_delete (clause_lits s c));
+      detach_clause s c;
+      clear_reasons_of s c;
+      mark_clause s c
+    end
+  done
+
+let simp_eliminate_var s idx v =
   s.eliminated.(v) <- true;
   s.n_eliminated <- s.n_eliminated + 1;
-  purge_learnts_of s v
+  purge_learnts_of s idx v
 
+(* One host per session (or vivification pass), so the learnt index is
+   built at most once per session, at its first elimination. *)
 let simp_host s =
+  let learnt_index = lazy (build_learnt_index s) in
   {
     Simp.nvars = s.nvars;
     ar = s.ar;
@@ -953,7 +986,7 @@ let simp_host s =
     strengthen_clause = (fun c l -> simp_strengthen_clause s c l);
     replace_clause = (fun c keep -> simp_replace_clause s c keep);
     add_resolvent = (fun lits -> add_clause_core s lits);
-    eliminate_var = (fun v -> simp_eliminate_var s v);
+    eliminate_var = (fun v -> simp_eliminate_var s (Lazy.force learnt_index) v);
     detach_clause = (fun c -> detach_clause s c);
     attach_clause = (fun c -> attach_clause s c);
     assume =

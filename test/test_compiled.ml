@@ -48,7 +48,7 @@ let random_all_gates ~seed ~num_inputs ~num_keys ~gates ~num_outputs () =
       | 7 -> Circuit.Gate (Gate.Buf, [| pick () |])
       | 8 -> Circuit.Gate (Gate.Mux, [| pick (); pick (); pick () |])
       | _ ->
-          let k = 1 + Prng.int g 3 in
+          let k = 1 + Prng.int g 4 in
           let table = Bitvec.init (1 lsl k) (fun _ -> Prng.bool g) in
           Circuit.Gate (Gate.Lut table, Array.init k (fun _ -> pick ()))
     in
@@ -70,12 +70,35 @@ let reference_outputs c ~inputs ~keys =
 
 let bool_array = Alcotest.(array bool)
 
+(* The differential tests below must reach every kernel arm the word
+   kernel special-cases: LUTs of each width 1-4 (mux trees of every
+   depth), MUXes and constants. *)
+let check_gate_coverage circuits =
+  let luts = Array.make 5 false and mux = ref false and const = ref false in
+  List.iter
+    (fun c ->
+      Array.iter
+        (function
+          | Circuit.Gate (Gate.Lut _, fanins) -> luts.(Array.length fanins) <- true
+          | Circuit.Gate (Gate.Mux, _) -> mux := true
+          | Circuit.Const _ -> const := true
+          | _ -> ())
+        c.Circuit.nodes)
+    circuits;
+  for k = 1 to 4 do
+    Alcotest.(check bool) (Printf.sprintf "covers %d-input LUTs" k) true luts.(k)
+  done;
+  Alcotest.(check bool) "covers MUX" true !mux;
+  Alcotest.(check bool) "covers constants" true !const
+
 let test_scalar_vs_reference () =
+  let circuits = ref [] in
   for seed = 0 to 19 do
     let c =
       random_all_gates ~seed ~num_inputs:(3 + (seed mod 4)) ~num_keys:(seed mod 3)
         ~gates:(10 + (3 * seed)) ~num_outputs:4 ()
     in
+    circuits := c :: !circuits;
     let p = Compiled.compile c in
     let g = Prng.create (1000 + seed) in
     for _ = 1 to 16 do
@@ -85,14 +108,17 @@ let test_scalar_vs_reference () =
         (reference_outputs c ~inputs ~keys)
         (Compiled.eval p ~inputs ~keys)
     done
-  done
+  done;
+  check_gate_coverage !circuits
 
 let test_lanes_vs_scalar () =
+  let circuits = ref [] in
   for seed = 0 to 9 do
     let c =
       random_all_gates ~seed:(100 + seed) ~num_inputs:4 ~num_keys:2
         ~gates:(15 + (4 * seed)) ~num_outputs:3 ()
     in
+    circuits := c :: !circuits;
     let p = Compiled.compile c in
     let g = Prng.create (2000 + seed) in
     let n_in = Circuit.num_inputs c and n_key = Circuit.num_keys c in
@@ -123,7 +149,8 @@ let test_lanes_vs_scalar () =
       in
       Alcotest.check bool_array "packed lane = interpreter" expect got
     done
-  done
+  done;
+  check_gate_coverage !circuits
 
 let test_eval_bv () =
   let c = random_all_gates ~seed:42 ~num_inputs:5 ~num_keys:3 ~gates:40 ~num_outputs:4 () in
@@ -254,6 +281,41 @@ let test_scratch_rules () =
   Alcotest.check bool_array "scratch reuse deterministic" first
     (Compiled.read_outputs p1 s1)
 
+(* Both simulation entry points run allocation-free on a caller-owned
+   scratch: no boxed words, no per-call buffers.  The overhead of reading
+   the counter itself is measured and subtracted. *)
+let test_kernel_allocates_nothing () =
+  let c = random_all_gates ~seed:9 ~num_inputs:6 ~num_keys:3 ~gates:120 ~num_outputs:4 () in
+  let p = Compiled.compile c in
+  let s = Compiled.scratch p in
+  let inputs = Array.init 6 (fun i -> i mod 2 = 0) and keys = [| true; false; true |] in
+  let inputs64 = Array.init 6 (fun i -> Int64.of_int (i * 0x9e3779b9))
+  and keys64 = [| -1L; 0x5555L; 7L |] in
+  let minor_delta f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let overhead = minor_delta ignore in
+  let sink = ref false in
+  let scalar =
+    minor_delta (fun () ->
+        for _ = 1 to 10_000 do
+          Compiled.eval_into p s ~inputs ~keys;
+          sink := !sink <> Compiled.output_val p s 0
+        done)
+  in
+  let packed =
+    minor_delta (fun () ->
+        for _ = 1 to 10_000 do
+          Compiled.eval_lanes_into p s ~inputs:inputs64 ~keys:keys64
+        done)
+  in
+  ignore (Sys.opaque_identity !sink);
+  Alcotest.(check (float 0.)) "eval_into: 0 minor words / 10k calls" 0. (scalar -. overhead);
+  Alcotest.(check (float 0.)) "eval_lanes_into: 0 minor words / 10k calls" 0.
+    (packed -. overhead)
+
 let test_cached_memo () =
   let c = random_all_gates ~seed:3 ~num_inputs:3 ~num_keys:0 ~gates:8 ~num_outputs:1 () in
   let p1 = Compiled.cached c and p2 = Compiled.cached c in
@@ -281,6 +343,7 @@ let suite =
     Alcotest.test_case "cofactor constants" `Quick test_cofactor_constants;
     Alcotest.test_case "mux liveness" `Quick test_mux_liveness;
     Alcotest.test_case "scratch rules" `Quick test_scratch_rules;
+    Alcotest.test_case "kernel allocates nothing" `Quick test_kernel_allocates_nothing;
     Alcotest.test_case "cached memo" `Quick test_cached_memo;
     Alcotest.test_case "scratch cache bounded" `Quick test_scratch_cache_bounded;
   ]

@@ -318,6 +318,61 @@ let test_drup_mode_no_elimination () =
   | Drup.Failed { step; reason } ->
       Alcotest.fail (Printf.sprintf "proof rejected at step %d: %s" step reason))
 
+(* A BVE-heavy incremental stream with learnts present: the c432 /
+   SARLock-8 DIP loop, one DIP per solve, with both key copies' per-DIP
+   constraints encoded over constant input literals.  Each session
+   eliminates the fresh gate variables of the new constraints while the
+   learnt clauses of earlier solves are still live, so the learnt purge
+   runs on every elimination.  Every counter is pinned: any change to
+   which learnts a session purges, or in which order, moves them. *)
+let test_bve_learnt_stream () =
+  let c = LL.Bench_suite.Iscas.get "c432" in
+  let locked =
+    (LL.Locking.Sarlock.lock ~prng:(Prng.create 8) ~key_size:8 c).Locked.circuit
+  in
+  let s = Solver.create () in
+  let env = Tseitin.create s in
+  let n_in = Circuit.num_inputs locked and n_key = Circuit.num_keys locked in
+  let input_lits = Tseitin.fresh_lits env n_in in
+  let k1 = Tseitin.fresh_lits env n_key and k2 = Tseitin.fresh_lits env n_key in
+  Array.iter (fun l -> Solver.freeze_var s (Lit.var l)) input_lits;
+  Array.iter (fun l -> Solver.freeze_var s (Lit.var l)) k1;
+  Array.iter (fun l -> Solver.freeze_var s (Lit.var l)) k2;
+  let o1 = Tseitin.encode env locked ~input_lits ~key_lits:k1 in
+  let o2 = Tseitin.encode env locked ~input_lits ~key_lits:k2 in
+  let diff = Tseitin.mk_or env (Array.map2 (fun a b -> Tseitin.mk_xor env [| a; b |]) o1 o2) in
+  let act = (Tseitin.fresh_lits env 1).(0) in
+  Solver.freeze_var s (Lit.var act);
+  Solver.add_clause s [ Lit.negate act; diff ];
+  let t = Tseitin.lit_true env in
+  let dips = ref 0 and learnt_peak = ref 0 in
+  while Solver.solve ~assumptions:[ act ] s = Solver.Sat do
+    incr dips;
+    let dip = Array.map (Solver.value s) input_lits in
+    let response = Eval.eval c ~inputs:dip ~keys:[||] in
+    let fixed = Array.map (fun b -> if b then t else Lit.negate t) dip in
+    List.iter
+      (fun key_lits ->
+        let outs = Tseitin.encode env locked ~input_lits:fixed ~key_lits in
+        Array.iteri (fun o l -> Tseitin.force env l response.(o)) outs)
+      [ k1; k2 ];
+    learnt_peak := max !learnt_peak (Solver.num_learnts s)
+  done;
+  let st = Solver.stats s in
+  let counts =
+    [
+      ("dips", !dips);
+      ("conflicts", st.Solver.conflicts);
+      ("decisions", st.Solver.decisions);
+      ("propagations", st.Solver.propagations);
+      ("eliminated vars", st.Solver.simp_eliminated_vars);
+    ]
+  in
+  Alcotest.(check bool) "learnts present" true (!learnt_peak > 0);
+  List.iter2
+    (fun (name, v) expect -> Alcotest.(check int) ("bve stream " ^ name) expect v)
+    counts [ 255; 419; 10935; 109624; 838 ]
+
 let suite =
   [
     Alcotest.test_case "subsumption stats" `Quick test_subsumption_stats;
@@ -333,4 +388,5 @@ let suite =
     prop_incremental;
     prop_locked_miter;
     prop_blocking_rounds;
+    Alcotest.test_case "bve learnt purge stream pinned" `Quick test_bve_learnt_stream;
   ]
