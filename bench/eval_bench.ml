@@ -56,9 +56,26 @@ let timed f =
 (* Simulation throughput                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* [reps] scalar patterns, [reps/64] (rounded up) packed calls.  The
-   input patterns rotate through a fixed pre-drawn set so the loops time
-   the kernels, not the PRNG. *)
+(* Repeat [pass], which simulates [per_pass] patterns, until at least
+   [min_sim_wall_s] has passed, and return patterns per second.  A single
+   pass of the packed kernel takes about a millisecond, short enough for
+   one scheduler hiccup on a loaded host to swing its rate several-fold;
+   a fixed minimum window gives all three kernels comparable timings. *)
+let min_sim_wall_s = 0.02
+
+let patterns_per_s ~per_pass pass =
+  let t0 = Timer.monotonic () in
+  let rec go passes =
+    pass ();
+    let wall = Timer.monotonic () -. t0 in
+    if wall < min_sim_wall_s then go (passes + 1)
+    else float_of_int (passes * per_pass) /. wall
+  in
+  go 1
+
+(* One pass is [reps] scalar patterns or [reps/64] (rounded up) packed
+   calls.  The input patterns rotate through a fixed pre-drawn set so the
+   loops time the kernels, not the PRNG. *)
 let sim_throughput ~reps c =
   let n_in = Circuit.num_inputs c and n_key = Circuit.num_keys c in
   let g = Prng.create 0x51ED in
@@ -74,8 +91,8 @@ let sim_throughput ~reps c =
           Array.init n_key (fun _ -> Prng.bits64 g) ))
   in
   let sink = ref false in
-  let interp_wall, _ =
-    timed (fun () ->
+  let interp_ps =
+    patterns_per_s ~per_pass:reps (fun () ->
         for r = 0 to reps - 1 do
           let inputs, keys = bool_pats.(r land (pool - 1)) in
           let values = Eval.eval_all_nodes c ~inputs ~keys in
@@ -84,8 +101,8 @@ let sim_throughput ~reps c =
   in
   let p = Compiled.compile c in
   let s = Compiled.scratch p in
-  let scalar_wall, _ =
-    timed (fun () ->
+  let scalar_ps =
+    patterns_per_s ~per_pass:reps (fun () ->
         for r = 0 to reps - 1 do
           let inputs, keys = bool_pats.(r land (pool - 1)) in
           Compiled.eval_into p s ~inputs ~keys;
@@ -93,8 +110,8 @@ let sim_throughput ~reps c =
         done)
   in
   let packed_calls = (reps + 63) / 64 in
-  let packed_wall, _ =
-    timed (fun () ->
+  let packed_ps =
+    patterns_per_s ~per_pass:(packed_calls * 64) (fun () ->
         for r = 0 to packed_calls - 1 do
           let inputs, keys = lane_pats.(r land (pool - 1)) in
           Compiled.eval_lanes_into p s ~inputs ~keys;
@@ -102,9 +119,7 @@ let sim_throughput ~reps c =
         done)
   in
   ignore !sink;
-  ( float_of_int reps /. interp_wall,
-    float_of_int reps /. scalar_wall,
-    float_of_int (packed_calls * 64) /. packed_wall )
+  (interp_ps, scalar_ps, packed_ps)
 
 (* ------------------------------------------------------------------ *)
 (* Per-DIP constraint generation                                       *)

@@ -38,16 +38,11 @@ let sections =
      SAT-core suite behind the [bench-sat-smoke] CI alias, a subset of
      "sat"; "evalsmoke" likewise for the compiled-kernel suite behind
      [bench-eval-smoke]; "satsimp" is the inprocessing on/off comparison
-     behind [bench-sat-simp-smoke] (BENCH_sat_simp.json); "cube" is the
-     adaptive cube-and-conquer vs fixed-N comparison (BENCH_cube.json),
-     "cubesmoke" its seconds-scale subset behind [bench-cube-smoke];
+     behind [bench-sat-simp-smoke] (BENCH_sat_simp.json);
      "keypop"/"keypopsmoke" is the exact key-population grid behind
      [bench-keypop-smoke] (BENCH_keypop.json). *)
   let extras =
-    [
-      "satsmoke"; "evalsmoke"; "satsimp"; "cube"; "cubesmoke"; "keypop";
-      "keypopsmoke";
-    ]
+    [ "satsmoke"; "evalsmoke"; "satsimp"; "keypop"; "keypopsmoke" ]
   in
   (* "full" and "only=NAME" modify sections; anything else must name one.
      An unknown name is an error rather than a request for everything:
@@ -622,16 +617,6 @@ let eval_core ~smoke =
   Eval_bench.run ~smoke
 
 (* ------------------------------------------------------------------ *)
-(* Adaptive cube-and-conquer vs fixed-N split (BENCH_cube.json).       *)
-(* ------------------------------------------------------------------ *)
-
-let cube ~smoke =
-  header
-    (if smoke then "Adaptive cube-and-conquer: smoke comparison (fast CI check)"
-     else "Adaptive cube-and-conquer vs fixed-N split");
-  Cube_bench.run ~smoke
-
-(* ------------------------------------------------------------------ *)
 (* Exact key-population grid (BENCH_keypop.json).                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -661,8 +646,6 @@ let () =
   if want "satsimp" then sat_simp ~smoke:true;
   if want "eval" then eval_core ~smoke:false;
   if want "evalsmoke" then eval_core ~smoke:true;
-  if want "cube" then cube ~smoke:false;
-  if want "cubesmoke" then cube ~smoke:true;
   if want "keypop" then keypop ~smoke:false;
   if want "keypopsmoke" then keypop ~smoke:true;
   if want "micro" then micro ();

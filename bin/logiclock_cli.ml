@@ -309,8 +309,7 @@ let attack_cmd =
         | LL.Attack.Sat_attack.Broken -> "broken"
         | LL.Attack.Sat_attack.Iteration_limit -> "iteration limit"
         | LL.Attack.Sat_attack.Time_limit -> "time limit"
-        | LL.Attack.Sat_attack.Cancelled -> "cancelled"
-        | LL.Attack.Sat_attack.Stopped -> "stopped");
+        | LL.Attack.Sat_attack.Cancelled -> "cancelled");
       Printf.printf "#DIP   : %d\n" r.num_dips;
       Printf.printf "time   : %.3f s (%.3f s solving)\n" r.total_time r.solve_time;
       (match r.key with

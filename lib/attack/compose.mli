@@ -1,10 +1,11 @@
 (** Multi-key netlist composition (paper Fig. 1(b)).
 
-    Given one (possibly incorrect) key per input-space cofactor, build the
-    key-free netlist in which a MUX tree — selected by the split inputs —
-    routes each input pattern through the copy carrying the key that
-    unlocks its region.  The result is functionally equivalent to the
-    original design when every key unlocks its own cofactor. *)
+    Given one (possibly incorrect) key per cofactor of a uniform [2^N]
+    split ({!Split_attack}), build the key-free netlist in which a MUX
+    tree — selected by the [N] split inputs — routes each input pattern
+    through the copy carrying the key that unlocks its region.  The
+    result is functionally equivalent to the original design when every
+    key unlocks its own cofactor. *)
 
 val build :
   ?optimize:bool ->
@@ -22,23 +23,3 @@ val build :
 val of_attack : ?optimize:bool -> Ll_netlist.Circuit.t -> Split_attack.t -> Ll_netlist.Circuit.t option
 (** Convenience: compose a {!Split_attack} result.  [None] when some task
     produced no key. *)
-
-val build_cubes :
-  ?optimize:bool ->
-  Ll_netlist.Circuit.t ->
-  cubes:((int * bool) list * Ll_util.Bitvec.t) array ->
-  Ll_netlist.Circuit.t
-(** Variable-arity generalization of {!build} for a non-uniform cube
-    partition (the adaptive attack's output): each element pairs a
-    cube's condition with the key unlocking it.  The conditions must
-    form a binary-decision-tree partition of the input space — every
-    condition pins positions in one shared order, as
-    {!Cube_attack.keys} produces — and leaves at different depths are
-    composed by a recursive MUX on each tree node's split input.
-    Raises [Invalid_argument] on key-length mismatches or a cube set
-    that overlaps or leaves the space uncovered. *)
-
-val of_cube_attack :
-  ?optimize:bool -> Ll_netlist.Circuit.t -> Cube_attack.t -> Ll_netlist.Circuit.t option
-(** Compose a {!Cube_attack} result.  [None] when some leaf produced no
-    key. *)

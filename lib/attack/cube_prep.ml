@@ -27,17 +27,6 @@ let task_seeds ~seed num_tasks =
   let root = Prng.create seed in
   Array.init num_tasks (fun _ -> Int64.to_int (Prng.bits64 (Prng.split root)))
 
-(* Seed for a cube identified by its pin path rather than a task index:
-   the adaptive engine creates cubes dynamically, so the seed must be a
-   pure function of (root seed, path) for serial == parallel determinism.
-   A simple avalanche fold over the (position, value) pins. *)
-let cube_seed ~seed condition =
-  let mix h v = (h lxor ((v + 0x9e3779b9 + (h lsl 6) + (h lsr 2)) * 0x01000193)) land max_int in
-  List.fold_left
-    (fun h (pos, b) -> mix h ((2 * pos) + if b then 1 else 0))
-    (mix (seed land max_int) 0x5bd1e995)
-    condition
-
 let base_config = function Some c -> c | None -> Sat_attack.default_config
 
 (* One cofactor sub-attack over the shared preparation: the miter is
@@ -63,12 +52,13 @@ let run_task ?(index = -1) ~config ~prep ~oracle condition =
   with
   | task ->
       (match task.result.Sat_attack.status with
-      | Sat_attack.Broken -> Progress.cube_solved ~depth
-      | _ -> Progress.cube_stopped ~depth);
+      | Sat_attack.Broken when task.result.Sat_attack.key <> None ->
+          Progress.cube_solved ~depth
+      | _ -> Progress.cube_stopped ());
       if Tel.enabled () then Tel.span_end ~v:task.result.Sat_attack.num_dips ();
       task
   | exception e ->
-      Progress.cube_stopped ~depth;
+      Progress.cube_stopped ();
       if Tel.enabled () then Tel.span_end ~v:(-1) ~note:"exception" ();
       raise e
 
@@ -90,7 +80,6 @@ let cancelled_task ~locked condition =
         total_time = 0.0;
         solve_time = 0.0;
         solver_conflicts = 0;
-        imported = 0;
       };
     task_time = 0.0;
   }
@@ -98,33 +87,30 @@ let cancelled_task ~locked condition =
 let fatal (task : task) =
   match task.result.Sat_attack.status with
   | Sat_attack.Iteration_limit | Sat_attack.Time_limit -> true
-  | Sat_attack.Broken | Sat_attack.Cancelled | Sat_attack.Stopped -> false
+  | Sat_attack.Broken | Sat_attack.Cancelled -> false
 
 (* --- Merged-result classification ------------------------------------ *)
 
-(* Distinct failure accounting for the merged result of a multi-cube
-   attack.  [Broken] without a key means the solver proved {e no} key can
-   reproduce the oracle under the cube (an inconsistent oracle): retrying
-   or re-splitting such a cube is pointless, so it is counted apart from
-   the recoverable statuses ([Cancelled] sub-tasks never ran; [Stopped]
-   ones were preempted by a difficulty budget and can be re-split). *)
+(* Distinct failure accounting for the merged result of a split attack.
+   [Broken] without a key means the solver proved {e no} key can
+   reproduce the oracle under the cube (an inconsistent oracle), so it is
+   counted apart from the budget limits and from [Cancelled] sub-tasks,
+   which never ran. *)
 type failure_counts = {
   unsat_no_key : int;  (** [Broken] with no surviving key *)
   cancelled : int;
-  stopped : int;
   iteration_limit : int;
   time_limit : int;
 }
 
 let no_failures =
-  { unsat_no_key = 0; cancelled = 0; stopped = 0; iteration_limit = 0; time_limit = 0 }
+  { unsat_no_key = 0; cancelled = 0; iteration_limit = 0; time_limit = 0 }
 
 let count_failure fc (r : Sat_attack.result) =
   match r.Sat_attack.status with
   | Sat_attack.Broken when r.Sat_attack.key <> None -> fc
   | Sat_attack.Broken -> { fc with unsat_no_key = fc.unsat_no_key + 1 }
   | Sat_attack.Cancelled -> { fc with cancelled = fc.cancelled + 1 }
-  | Sat_attack.Stopped -> { fc with stopped = fc.stopped + 1 }
   | Sat_attack.Iteration_limit ->
       { fc with iteration_limit = fc.iteration_limit + 1 }
   | Sat_attack.Time_limit -> { fc with time_limit = fc.time_limit + 1 }

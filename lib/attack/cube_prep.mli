@@ -1,12 +1,10 @@
-(** Shared per-cofactor machinery of the multi-cube attacks.
+(** Per-cofactor machinery of the split attack.
 
-    Both the paper's fixed-N split attack ({!Split_attack}) and the
-    adaptive cube-and-conquer engine ({!Cube_attack}) run many
-    {!Sat_attack.run_prepared} sessions over one shared preparation, each
-    pinned to a cube of the primary-input space.  Everything a single
-    cube session needs — span/metric bookkeeping, deterministic seeding,
-    cancellation placeholders, failure classification — lives here so
-    the two paths cannot drift apart. *)
+    {!Split_attack} runs one {!Sat_attack.run_prepared} session per cube
+    of the primary-input space over one shared preparation.  Everything
+    a single cube session needs — span/metric bookkeeping, deterministic
+    seeding, cancellation placeholders, failure classification — lives
+    here, so the serial and the pooled runner share one code path. *)
 
 type task = {
   condition : (int * bool) list;  (** pinned input positions and values *)
@@ -22,11 +20,6 @@ val condition_string : (int * bool) list -> string
 val task_seeds : seed:int -> int -> int array
 (** [task_seeds ~seed n] — one solver seed per task index, split from one
     root PRNG stream in index order (fixed-N determinism contract). *)
-
-val cube_seed : seed:int -> (int * bool) list -> int
-(** Solver seed for a dynamically created cube: a pure function of the
-    root seed and the cube's pin path, so adaptive runs are reproducible
-    under any scheduling. *)
 
 val base_config : Sat_attack.config option -> Sat_attack.config
 
@@ -45,18 +38,15 @@ val cancelled_task : locked:Ll_netlist.Circuit.t -> (int * bool) list -> task
 
 val fatal : task -> bool
 (** A status after which the merged attack can no longer produce a key
-    set by itself ([Iteration_limit], [Time_limit]).  [Stopped] is not
-    fatal: the adaptive controller re-splits such cubes. *)
+    set ([Iteration_limit], [Time_limit]). *)
 
 (** {2 Merged-result classification} *)
 
 type failure_counts = {
   unsat_no_key : int;
       (** [Broken] but no key survives: the oracle contradicts the
-          circuit under the cube.  Never worth retrying or
-          re-splitting. *)
+          circuit under the cube.  Never worth retrying. *)
   cancelled : int;  (** never ran ({!Sat_attack.Cancelled}) *)
-  stopped : int;  (** preempted by a difficulty budget; re-splittable *)
   iteration_limit : int;
   time_limit : int;
 }

@@ -21,9 +21,3 @@ val query_count : t -> int
 
 val num_inputs : t -> int
 val num_outputs : t -> int
-
-val restrict : t -> (int * bool) list -> t
-(** [restrict o condition] is the oracle of the cofactored design: queries
-    carry only the unpinned inputs (in their original relative order); the
-    pinned positions are filled from [condition].  Query counts still
-    accumulate on the parent. *)

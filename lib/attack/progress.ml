@@ -1,7 +1,7 @@
 module Timer = Ll_util.Timer
 
-(* Per-attack progress model, fed by lightweight hooks in the attack
-   engines and read by the live exposition layer (--watch, --stream).
+(* Per-attack progress model, fed by lightweight hooks in the split
+   attack and read by the live exposition layer (--watch, --stream).
 
    Every feeder is gated on one atomic load: with progress tracking off
    (the default) the hooks cost a flag check and a branch, and the
@@ -9,11 +9,10 @@ module Timer = Ll_util.Timer
    golden DIP sequences are byte-identical with tracking on or off.
 
    Cube accounting weighs each cube by the fraction of the input space
-   it covers: a cube fixing [d] inputs weighs 2^-d.  Seed cubes sum to
-   weight 1; a re-split replaces a stopped parent by two children of
-   half its weight, so total weight stays 1 and [coverage] — solved
-   weight over total weight — is the fraction of the input space whose
-   cofactor attack has completed. *)
+   it covers: a cube fixing [d] inputs weighs 2^-d, and the created
+   cubes sum to weight 1.  [coverage] — solved weight over total
+   weight — is the fraction of the input space whose cofactor attack
+   has produced a key; a cube that ends without one keeps its weight. *)
 
 let enabled_flag = Atomic.make false
 
@@ -28,7 +27,6 @@ type state = {
   mutable started_ns : int;
   mutable dips : int;
   mutable rounds : int;
-  mutable imported : int;
   mutable blocking_clauses : int;
   mutable key_bits : int;
   mutable last_dip_ns : int;
@@ -48,7 +46,6 @@ let st =
     started_ns = 0;
     dips = 0;
     rounds = 0;
-    imported = 0;
     blocking_clauses = 0;
     key_bits = 0;
     last_dip_ns = 0;
@@ -71,7 +68,6 @@ let reset () =
       st.started_ns <- t;
       st.dips <- 0;
       st.rounds <- 0;
-      st.imported <- 0;
       st.blocking_clauses <- 0;
       st.key_bits <- 0;
       st.last_dip_ns <- t;
@@ -108,9 +104,6 @@ let add_dips k =
 
 let add_rounds k = if enabled () then locked (fun () -> st.rounds <- st.rounds + k)
 
-let add_imported k =
-  if enabled () && k > 0 then locked (fun () -> st.imported <- st.imported + k)
-
 let add_blocking_clauses k =
   if enabled () && k > 0 then
     locked (fun () -> st.blocking_clauses <- st.blocking_clauses + k)
@@ -139,15 +132,11 @@ let cube_solved ~depth =
         st.cubes_solved <- st.cubes_solved + 1;
         st.solved_weight <- st.solved_weight +. cube_weight depth)
 
-(* A stopped cube hands its region to two children: its own weight
-   leaves the total (the children's [cube_created] adds the same amount
-   back), so total weight is invariant across re-splits. *)
-let cube_stopped ~depth =
+let cube_stopped () =
   if enabled () then
     locked (fun () ->
         if st.cubes_running > 0 then st.cubes_running <- st.cubes_running - 1;
-        st.cubes_stopped <- st.cubes_stopped + 1;
-        st.total_weight <- Float.max 0.0 (st.total_weight -. cube_weight depth))
+        st.cubes_stopped <- st.cubes_stopped + 1)
 
 (* ------------------------------------------------------------------ *)
 (* View                                                                *)
@@ -157,7 +146,6 @@ type view = {
   v_elapsed_s : float;
   v_dips : int;
   v_rounds : int;
-  v_imported : int;
   v_blocking_clauses : int;
   v_dip_rate : float;
   v_key_bits : int;
@@ -171,10 +159,10 @@ type view = {
 }
 
 (* Remaining-key-space upper bound: every recorded blocking constraint
-   (one per distinct DIP, local or imported) eliminates at least one
-   wrong key, so at most 2^K - constraints keys survive.  Reported as a
-   log2 so 512-bit keys don't overflow; beyond 62 bits the subtraction
-   is invisible in float anyway and K is returned unchanged. *)
+   (one per distinct DIP) eliminates at least one wrong key, so at most
+   2^K - constraints keys survive.  Reported as a log2 so 512-bit keys
+   don't overflow; beyond 62 bits the subtraction is invisible in float
+   anyway and K is returned unchanged. *)
 let keyspace_log2 ~key_bits ~constraints =
   if key_bits <= 0 then -1.0
   else if key_bits > 62 then float_of_int key_bits
@@ -202,16 +190,15 @@ let view () =
         else if coverage >= 1.0 then 0.0
         else -1.0
       in
-      let constraints = st.blocking_clauses + st.imported in
       {
         v_elapsed_s = elapsed;
         v_dips = st.dips;
         v_rounds = st.rounds;
-        v_imported = st.imported;
         v_blocking_clauses = st.blocking_clauses;
         v_dip_rate = st.dip_rate;
         v_key_bits = st.key_bits;
-        v_keyspace_log2 = keyspace_log2 ~key_bits:st.key_bits ~constraints;
+        v_keyspace_log2 =
+          keyspace_log2 ~key_bits:st.key_bits ~constraints:st.blocking_clauses;
         v_cubes_pending = st.cubes_pending;
         v_cubes_running = st.cubes_running;
         v_cubes_solved = st.cubes_solved;
@@ -226,8 +213,8 @@ let view () =
 
 let jsonl_line ?(t_ns = Timer.monotonic_ns ()) v =
   Printf.sprintf
-    "{\"type\":\"progress\",\"t_ns\":%d,\"elapsed_s\":%.3f,\"dips\":%d,\"rounds\":%d,\"imported\":%d,\"blocking_clauses\":%d,\"dip_rate\":%.6g,\"key_bits\":%d,\"keyspace_log2\":%.6g,\"cubes\":{\"pending\":%d,\"running\":%d,\"solved\":%d,\"stopped\":%d},\"coverage\":%.6g,\"eta_s\":%.6g}"
-    t_ns v.v_elapsed_s v.v_dips v.v_rounds v.v_imported v.v_blocking_clauses
+    "{\"type\":\"progress\",\"t_ns\":%d,\"elapsed_s\":%.3f,\"dips\":%d,\"rounds\":%d,\"blocking_clauses\":%d,\"dip_rate\":%.6g,\"key_bits\":%d,\"keyspace_log2\":%.6g,\"cubes\":{\"pending\":%d,\"running\":%d,\"solved\":%d,\"stopped\":%d},\"coverage\":%.6g,\"eta_s\":%.6g}"
+    t_ns v.v_elapsed_s v.v_dips v.v_rounds v.v_blocking_clauses
     v.v_dip_rate v.v_key_bits v.v_keyspace_log2 v.v_cubes_pending v.v_cubes_running
     v.v_cubes_solved v.v_cubes_stopped v.v_coverage v.v_eta_s
 
@@ -250,5 +237,5 @@ let status_line v =
     if v.v_keyspace_log2 < 0.0 then ""
     else Printf.sprintf " | keys <= 2^%.1f" v.v_keyspace_log2
   in
-  Printf.sprintf "[%7.1fs] dips %d (%.1f/s) rounds %d imported %d%s%s"
-    v.v_elapsed_s v.v_dips v.v_dip_rate v.v_rounds v.v_imported keyspace cubes
+  Printf.sprintf "[%7.1fs] dips %d (%.1f/s) rounds %d%s%s"
+    v.v_elapsed_s v.v_dips v.v_dip_rate v.v_rounds keyspace cubes

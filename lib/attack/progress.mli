@@ -1,6 +1,6 @@
 (** Per-attack progress model for live observability.
 
-    The attack engines feed this process-wide tracker through cheap
+    The split attack and its SAT sessions feed this process-wide tracker through cheap
     hooks ({!add_dips}, {!cube_started}, ...); the exposition layer (the
     CLI's [--watch] / [--stream] modes, later the [logiclockd] daemon)
     reads consistent {!view}s and renders them.
@@ -11,10 +11,10 @@
     sequences are byte-identical with tracking on or off.
 
     {b Cube accounting.}  A cube fixing [d] inputs weighs [2^-d] of the
-    input space.  Re-splitting a stopped cube removes its weight and its
-    two children add the same amount back, so total weight is invariant
-    and [coverage] (solved weight / total weight) is the completed
-    fraction of the input space. *)
+    input space, and [coverage] (solved weight / total weight) is the
+    fraction of the input space whose cofactor attack has produced a
+    key.  A cube that ends without a key keeps its weight in the total,
+    so coverage never reaches 1 on a run that fails. *)
 
 val enabled : unit -> bool
 
@@ -34,9 +34,6 @@ val add_dips : int -> unit
 
 val add_rounds : int -> unit
 
-val add_imported : int -> unit
-(** DIP constraints imported from a sibling cube's shared bank. *)
-
 val add_blocking_clauses : int -> unit
 (** Model-blocking / DIP constraints added to the solver. *)
 
@@ -49,10 +46,11 @@ val cube_created : depth:int -> unit
 val cube_started : depth:int -> unit
 
 val cube_solved : depth:int -> unit
-(** The cube's session completed (key found, or proven keyless). *)
+(** The cube's session found a key. *)
 
-val cube_stopped : depth:int -> unit
-(** The cube hit its difficulty budget and will be re-split. *)
+val cube_stopped : unit -> unit
+(** The cube's session ended without a key: a limit fired, it was
+    cancelled, it raised, or no key reproduces the oracle under it. *)
 
 (** {1 View} *)
 
@@ -60,7 +58,6 @@ type view = {
   v_elapsed_s : float;
   v_dips : int;
   v_rounds : int;
-  v_imported : int;
   v_blocking_clauses : int;
   v_dip_rate : float;  (** EWMA, dips per second (tau = 5 s) *)
   v_key_bits : int;

@@ -13,56 +13,6 @@ let m_oracle_queries = Tel.Metric.counter "attack.oracle_queries"
 
 let h_dip_solve = Tel.Metric.histogram "attack.dip_solve_s"
 
-let m_share_imported = Tel.Metric.counter "attack.share_imported"
-
-let m_share_exported = Tel.Metric.counter "attack.share_exported"
-
-(* Cross-cofactor constraint sharing (cube-and-conquer).  A session that
-   attacks one cube can export every DIP constraint it learns as a
-   self-contained entry: the DIP, the oracle response, and the constraint's
-   clause stream rewritten into the {e canonical} variable space — the
-   deterministic solver-variable prefix every session of the same {!prep}
-   allocates identically (inputs, key copies, miter encoding, activation
-   guard), followed by stable per-session auxiliary ids in first-use
-   order.  A receiving session imports an entry by mapping prefix
-   variables through the identity and allocating one fresh variable per
-   unseen auxiliary id, provided the entry's DIP lies inside the
-   receiver's cube (agrees with every pinned input) — the constraint
-   "any correct key maps this DIP to this response" is then a true fact
-   for the receiver as well.  Entries whose DIP falls outside the cube
-   are skipped; their clauses may have defined auxiliary variables a kept
-   entry mentions, in which case those variables arrive unconstrained —
-   that only {e weakens} the imported constraint (admits more keys), so
-   soundness is preserved and only pruning strength is lost. *)
-module Share = struct
-  type entry = {
-    e_dip : bool array;  (* full-width primary input pattern *)
-    e_response : bool array;  (* full-width oracle response *)
-    e_nshared : int;  (* canonical prefix size of the publishing session *)
-    e_clauses : Ll_sat.Lit.t array array;  (* canonicalized clause stream *)
-  }
-
-  let dip e = Array.copy e.e_dip
-
-  let num_clauses e = Array.length e.e_clauses
-
-  (* The entry's DIP agrees with every input the cube pins: importing its
-     constraint is sound for that cube. *)
-  let compatible e ~condition =
-    List.for_all
-      (fun (pos, b) ->
-        pos >= 0 && pos < Array.length e.e_dip && e.e_dip.(pos) = b)
-      condition
-end
-
-type progress = {
-  pg_dips : int;
-  pg_imported : int;
-  pg_conflicts : int;
-  pg_propagations : int;
-  pg_elapsed : float;
-}
-
 type config = {
   max_iterations : int option;
   time_limit : float option;
@@ -70,9 +20,6 @@ type config = {
   interrupt : (unit -> bool) option;
   solver_seed : int;
   solver_simp : bool;
-  stop : (progress -> bool) option;
-  share_out : (Share.entry -> unit) option;
-  share_in : Share.entry list list;
 }
 
 let default_config =
@@ -83,12 +30,9 @@ let default_config =
     interrupt = None;
     solver_seed = 0;
     solver_simp = true;
-    stop = None;
-    share_out = None;
-    share_in = [];
   }
 
-type status = Broken | Iteration_limit | Time_limit | Cancelled | Stopped
+type status = Broken | Iteration_limit | Time_limit | Cancelled
 
 type result = {
   status : status;
@@ -100,7 +44,6 @@ type result = {
   total_time : float;
   solve_time : float;
   solver_conflicts : int;
-  imported : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -210,151 +153,6 @@ let prep_inputs prep = prep.p_n_in
 let prep_gates prep = Circuit.gate_count prep.p_miter
 
 (* ------------------------------------------------------------------ *)
-(* Cross-cofactor sharing: import and export                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Replay the compatible DIP constraints of [banks] (learned by ancestor
-   cubes) into [solver] before the first solve and return the number of
-   entries imported.  Imported entries cost no solve and no oracle query;
-   [consistent] is the key-independent-output check applied to every
-   kept DIP/response pair. *)
-let import_shared solver ~n_shared ~condition ~consistent banks =
-  let imported = ref 0 in
-  let clauses_rev = ref [] in
-  List.iter
-    (fun bank ->
-      let entries = Array.of_list bank in
-      let n_entries = Array.length entries in
-      if n_entries > 0 then begin
-        (* The publisher's Tseitin cache hash-conses gate encodings
-           across its whole session, so an entry's clauses may reference
-           auxiliary variables whose defining clauses were emitted under
-           an earlier entry.  Non-unit clauses are pure definitions
-           (out = f(keys); satisfiable under any key assignment, so
-           importing them never excludes a key and is sound for any
-           cube); only the unit output-forcing clauses constrain keys to
-           the observed response, and a response is portable only when
-           its DIP lies inside this cube.
-
-           Importing every definition would make each receiver pay for
-           the full bank even when most forcings are dropped, so prune to
-           the cone of the kept forcings: canonical ids are assigned in
-           first-use order, which makes the max auxiliary id of a
-           definition clause its defined gate, so one backward sweep from
-           the compatible forcings keeps exactly the definitions they
-           transitively reference. *)
-        let max_var = ref (n_shared - 1) in
-        let compat = Array.make n_entries false in
-        Array.iteri
-          (fun i (e : Share.entry) ->
-            if e.Share.e_nshared <> n_shared then
-              invalid_arg
-                "Sat_attack.run_prepared: share entry from a different preparation";
-            compat.(i) <- Share.compatible e ~condition;
-            Array.iter
-              (Array.iter (fun l ->
-                   let v = Lit.var l in
-                   if v > !max_var then max_var := v))
-              e.Share.e_clauses)
-          entries;
-        let n_aux = !max_var + 1 - n_shared in
-        let needed = Bytes.make (max 1 n_aux) '\000' in
-        let keep =
-          Array.map
-            (fun (e : Share.entry) ->
-              Bytes.make (max 1 (Array.length e.Share.e_clauses)) '\000')
-            entries
-        in
-        for i = n_entries - 1 downto 0 do
-          let cls = entries.(i).Share.e_clauses in
-          for j = Array.length cls - 1 downto 0 do
-            let cl = cls.(j) in
-            if Array.length cl = 1 then begin
-              if compat.(i) then begin
-                Bytes.set keep.(i) j '\001';
-                let v = Lit.var cl.(0) in
-                if v >= n_shared then Bytes.set needed (v - n_shared) '\001'
-              end
-            end
-            else begin
-              let m = ref (-1) in
-              Array.iter
-                (fun l ->
-                  let v = Lit.var l in
-                  if v > !m && v >= n_shared then m := v)
-                cl;
-              if !m < 0 then Bytes.set keep.(i) j '\001'
-              else if Bytes.get needed (!m - n_shared) = '\001' then begin
-                Bytes.set keep.(i) j '\001';
-                Array.iter
-                  (fun l ->
-                    let v = Lit.var l in
-                    if v >= n_shared then Bytes.set needed (v - n_shared) '\001')
-                  cl
-              end
-            end
-          done
-        done;
-        (* Prefix variables map through the identity; each needed
-           auxiliary id gets one fresh variable per bank (entries of a
-           bank come from one publishing session, so their auxiliary ids
-           are mutually consistent). *)
-        let aux_map = Array.make (max 1 n_aux) (-1) in
-        let map_lit l =
-          let v = Lit.var l in
-          let v' =
-            if v < n_shared then v
-            else begin
-              let k = v - n_shared in
-              if aux_map.(k) < 0 then aux_map.(k) <- Solver.new_var solver;
-              aux_map.(k)
-            end
-          in
-          Lit.make v' (Lit.is_pos l)
-        in
-        Array.iteri
-          (fun i (e : Share.entry) ->
-            if compat.(i) then begin
-              (* The publisher observed this DIP/response; if it
-                 contradicts key-independent logic no key exists under
-                 this cube either — poison exactly like a local DIP. *)
-              if not (consistent e.Share.e_dip e.Share.e_response) then
-                Solver.add_clause solver [];
-              incr imported
-            end;
-            let cls = e.Share.e_clauses in
-            for j = 0 to Array.length cls - 1 do
-              if Bytes.get keep.(i) j = '\001' then
-                clauses_rev := Array.map map_lit cls.(j) :: !clauses_rev
-            done)
-          entries
-      end)
-    banks;
-  if !clauses_rev <> [] then ignore (Solver.import_clauses solver (List.rev !clauses_rev));
-  !imported
-
-(* The export side's literal map into the canonical space: prefix
-   variables stay, auxiliary variables get ids in first-use order across
-   the whole session, so the stream stays stable no matter how many
-   entries are exported. *)
-let canonicalizer ~n_shared =
-  let tbl = Hashtbl.create 64 and next = ref 0 in
-  fun l ->
-    let v = Lit.var l in
-    if v < n_shared then l
-    else
-      let id =
-        match Hashtbl.find_opt tbl v with
-        | Some id -> id
-        | None ->
-            let id = n_shared + !next in
-            incr next;
-            Hashtbl.add tbl v id;
-            id
-      in
-      Lit.make id (Lit.is_pos l)
-
-(* ------------------------------------------------------------------ *)
 (* The DIP loop                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -407,12 +205,6 @@ let run_prepared_core ~config prep ~condition ~oracle =
   let act = (Tseitin.fresh_lits env 1).(0) in
   Solver.freeze_var solver (Lit.var act);
   Solver.add_clause solver [ Lit.negate act; diff ];
-  (* Canonical variable prefix for cross-cofactor clause sharing: variable
-     allocation up to and including [act] is a pure function of the shared
-     [prep] (fresh input/key literals, the memoized miter encoding, the
-     guard), so every session over the same prep owns an identical prefix
-     and clauses over it transfer between sessions unchanged. *)
-  let n_shared = Solver.num_vars solver in
   (* Scratch for the in-place ternary cofactor sweep of the key cone,
      owned by this run's domain. *)
   let scratch = Compiled.scratch prep.p_cone_prog in
@@ -440,53 +232,16 @@ let run_prepared_core ~config prep ~condition ~oracle =
       |> List.filteri (fun i _ -> prep.p_output_key_dep.(i))
       |> Array.of_list
   in
-  let imported =
-    if config.share_in = [] then 0
-    else begin
-      if Tel.enabled () then Tel.span_begin "attack.share_import";
-      let k =
-        import_shared solver ~n_shared ~condition ~consistent:indep_outputs_match
-          config.share_in
-      in
-      Tel.Metric.add m_share_imported k;
-      Progress.add_imported k;
-      if Tel.enabled () then Tel.span_end ~v:k ();
-      k
-    end
-  in
   (* Encode "C_l(dip, K) = y" for both key copies over the DIP's cofactor
      of the key cone (already in [scratch]): the emitter encodes just its
      live key logic. *)
-  let encode_plain response =
+  let encode_dip response =
     let cone_response = cone_response_of response in
     List.iter
       (fun key_lits ->
         let outs = Tseitin.encode_cofactored env prep.p_cone_prog scratch ~key_lits in
         Array.iteri (fun i o -> Tseitin.force env o cone_response.(i)) outs)
       [ key1; key2 ]
-  in
-  (* With an export sink, tap the DIP's clause stream (both key copies)
-     and publish it canonicalized; the tap is read-only, so the clauses
-     reaching the solver — and hence the attack's behaviour — are
-     byte-identical with sharing on or off. *)
-  let encode_dip =
-    match config.share_out with
-    | None -> fun _dip response -> encode_plain response
-    | Some sink ->
-        let canon_lit = canonicalizer ~n_shared in
-        fun dip response ->
-          let buf_rev = ref [] in
-          Tseitin.with_tap env
-            (fun cl -> buf_rev := Array.map canon_lit cl :: !buf_rev)
-            (fun () -> encode_plain response);
-          Tel.Metric.incr m_share_exported;
-          sink
-            {
-              Share.e_dip = Array.copy dip;
-              e_response = Array.copy response;
-              e_nshared = n_shared;
-              e_clauses = Array.of_list (List.rev !buf_rev);
-            }
   in
   let solve_time = ref 0.0 in
   let timed_solve assumptions =
@@ -508,7 +263,6 @@ let run_prepared_core ~config prep ~condition ~oracle =
       total_time = Timer.monotonic () -. started;
       solve_time = !solve_time;
       solver_conflicts = (Solver.stats solver).Solver.conflicts;
-      imported;
     }
   in
   let over_iterations () =
@@ -520,29 +274,10 @@ let run_prepared_core ~config prep ~condition ~oracle =
     | None -> false
   in
   let interrupted () = match config.interrupt with Some f -> f () | None -> false in
-  (* The adaptive cube controller's difficulty budget.  Conflict and
-     propagation counts are deterministic for a fixed seed, so budgets
-     expressed in them make re-split decisions reproducible; wall-clock
-     budgets trade that for responsiveness. *)
-  let stop_requested () =
-    match config.stop with
-    | None -> false
-    | Some f ->
-        let st = Solver.stats solver in
-        f
-          {
-            pg_dips = !num_dips;
-            pg_imported = imported;
-            pg_conflicts = st.Solver.conflicts;
-            pg_propagations = st.Solver.propagations;
-            pg_elapsed = Timer.monotonic () -. started;
-          }
-  in
   let rec loop () =
     if over_iterations () then finish Iteration_limit None
     else if over_time () then finish Time_limit None
     else if interrupted () then finish Cancelled None
-    else if stop_requested () then finish Stopped None
     else begin
       (* One span per DIP: a0 = DIP index; closed with v = the cofactored
          cone's symbolic (key-dependent) node count (Sat) or -1 (Unsat,
@@ -569,7 +304,7 @@ let run_prepared_core ~config prep ~condition ~oracle =
              reports Broken with no surviving key, as the unrestricted
              encoding would have. *)
           if not (indep_outputs_match dip response) then Solver.add_clause solver [];
-          encode_dip dip response;
+          encode_dip response;
           Tel.Metric.incr m_dips;
           incr num_dips;
           if Tel.log_active () then

@@ -14,47 +14,6 @@
     DIP by a compiled ternary sweep, so only its live key logic is
     encoded. *)
 
-(** {2 Cross-cofactor clause sharing}
-
-    A cube-and-conquer controller re-splits a hard cofactor into two
-    child cubes; without sharing, each child would rediscover every DIP
-    constraint its parent already paid solves and oracle queries for.
-    {!Share} makes those constraints portable: a session exports each
-    DIP constraint as a self-contained entry (DIP, response, clause
-    stream over a canonical variable space), and a later session over
-    the {e same} {!prep} imports every entry whose DIP lies inside its
-    own cube.  The canonical space works because variable allocation up
-    to the activation guard is a pure function of the prep — identical
-    in every session — and auxiliary variables are renumbered in
-    first-use order on export, then mapped to fresh variables on import.
-    Dropping incompatible entries can only {e weaken} what the receiver
-    imports (auxiliary definitions may go missing), never exclude a
-    valid key, so filtering is sound. *)
-
-module Share : sig
-  type entry
-  (** One DIP constraint in portable form.  Immutable; safe to send
-      across domains. *)
-
-  val dip : entry -> bool array
-  (** The full-width input pattern the entry constrains (a copy). *)
-
-  val num_clauses : entry -> int
-
-  val compatible : entry -> condition:(int * bool) list -> bool
-  (** Does the entry's DIP agree with every pinned input of [condition]?
-      Import is sound exactly when it does. *)
-end
-
-type progress = {
-  pg_dips : int;  (** DIPs accumulated so far *)
-  pg_imported : int;  (** share entries imported at session start *)
-  pg_conflicts : int;  (** solver conflicts so far (deterministic) *)
-  pg_propagations : int;  (** solver propagations so far (deterministic) *)
-  pg_elapsed : float;  (** wall-clock seconds since the session started *)
-}
-(** Snapshot handed to {!config.stop} before every solve. *)
-
 type config = {
   max_iterations : int option;  (** DIP budget; [None] = unlimited *)
   time_limit : float option;  (** wall-clock seconds; checked before every solve *)
@@ -74,35 +33,16 @@ type config = {
           variable elimination, vivification) on the attack's incremental
           CNF (default [true]; disable for A/B comparison — see the
           [bench-sat-simp-smoke] alias). *)
-  stop : (progress -> bool) option;
-      (** difficulty-budget hook, polled before every solve like the other
-          limits; returning [true] ends the session with status
-          {!Stopped}.  The adaptive cube controller uses it to preempt a
-          cofactor that exceeded its budget and re-split it.  Budgets
-          over [pg_conflicts]/[pg_propagations]/[pg_dips] keep the
-          decision deterministic; [pg_elapsed] trades that away. *)
-  share_out : (Share.entry -> unit) option;
-      (** export sink: called once per DIP constraint (after encoding)
-          with its portable form.  Capture is read-only — the session's
-          own behaviour is identical with or without a sink. *)
-  share_in : Share.entry list list;
-      (** banks of entries to import at session start, outermost ancestor
-          first.  Each inner list must come from {e one} publishing
-          session over the same {!prep} (auxiliary ids are only
-          consistent within a session); entries incompatible with this
-          session's condition are skipped.  Raises [Invalid_argument] on
-          an entry from a different preparation. *)
 }
 
 val default_config : config
-(** No limits, no sharing, inprocessing on, solver seed 0. *)
+(** No limits, inprocessing on, solver seed 0. *)
 
 type status =
   | Broken  (** miter proved UNSAT; the returned key is functionally correct *)
   | Iteration_limit
   | Time_limit
   | Cancelled  (** the [interrupt] hook fired *)
-  | Stopped  (** the [stop] difficulty budget fired (cube re-split) *)
 
 type result = {
   status : status;
@@ -116,7 +56,6 @@ type result = {
   total_time : float;
   solve_time : float;  (** time inside the SAT solver *)
   solver_conflicts : int;
-  imported : int;  (** share entries imported at session start *)
 }
 
 val run : ?config:config -> Ll_netlist.Circuit.t -> oracle:Oracle.t -> result

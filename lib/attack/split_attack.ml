@@ -6,8 +6,8 @@ module Pool = Ll_runtime.Pool
 module Tel = Ll_telemetry.Telemetry
 
 (* The per-cofactor machinery (spans, seeding, cancellation placeholders,
-   failure classification) is shared with the adaptive engine through
-   {!Cube_prep}, so the fixed-N path and the re-split path cannot drift. *)
+   failure classification) lives in {!Cube_prep}, so the serial and the
+   pooled runner below share one code path per cube. *)
 type task = Cube_prep.task = {
   condition : (int * bool) list;
   sub_inputs : int;

@@ -1,9 +1,10 @@
 (** The paper's multi-key attack (Algorithm 1).
 
     The primary-input space is split into [2^N] cofactors over [N] selected
-    inputs; each conditional netlist is synthesized ({!Ll_synth.Cofactor})
-    and attacked independently with the classic SAT attack against a
-    restricted oracle.  The resulting keys — usually {e incorrect} for the
+    inputs; each cofactor is attacked independently with the classic SAT
+    attack ({!Sat_attack.run_prepared}) with its split inputs as root units
+    over one shared preparation and queried against the full-width
+    oracle.  The resulting keys — usually {e incorrect} for the
     full design — collectively unlock it through the key-selecting MUX of
     Fig. 1(b) (see {!Compose}).
 
@@ -17,7 +18,7 @@
 type task = Cube_prep.task = {
   condition : (int * bool) list;  (** pinned input positions and values *)
   sub_inputs : int;  (** free inputs of the conditional netlist *)
-  sub_gates : int;  (** gate count after cofactor synthesis *)
+  sub_gates : int;  (** gate count of the shared synthesized miter *)
   result : Sat_attack.result;
   task_time : float;  (** cofactoring + attack, wall clock *)
 }

@@ -98,7 +98,6 @@ module Attack = struct
   module Sat_attack = Ll_attack.Sat_attack
   module Cube_prep = Ll_attack.Cube_prep
   module Split_attack = Ll_attack.Split_attack
-  module Cube_attack = Ll_attack.Cube_attack
   module Compose = Ll_attack.Compose
   module Analysis = Ll_attack.Analysis
   module Random_guess = Ll_attack.Random_guess

@@ -64,9 +64,7 @@ val submit : ?priority:int -> t -> (ctx -> 'a) -> 'a handle
     hardest-first (higher value first, submission order as the FIFO
     tie-break) regardless of which worker frees up.  Priorities are
     scheduling {e hints} only — they affect wall time, never results;
-    callers must not rely on execution order for correctness.  The
-    adaptive cube-and-conquer attack uses them to start the most
-    conflict-laden cubes first so the longest chains finish earliest. *)
+    callers must not rely on execution order for correctness. *)
 
 val await : 'a handle -> 'a outcome
 (** Block until the task reaches a terminal state. *)

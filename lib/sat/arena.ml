@@ -61,8 +61,6 @@ let ensure t extra =
     t.a <- fresh
   end
 
-let reserve = ensure
-
 let alloc t lits ~learnt ~lbd =
   let n = Array.length lits in
   ensure t (n + 2);

@@ -33,12 +33,6 @@ val no_cref : int
 
 val create : unit -> t
 
-val reserve : t -> int -> unit
-(** [reserve t words] grows the backing array once so the next [words]
-    words of allocation proceed without reallocation — a batch of clauses
-    then lands as one contiguous append.  Like {!alloc}, may reallocate
-    [t.a]: never cache it across a [reserve]. *)
-
 val alloc : t -> Lit.t array -> learnt:bool -> lbd:int -> int
 (** Append a clause, growing the backing array as needed; returns its
     cref.  Note that the backing array may be reallocated: never cache

@@ -50,8 +50,6 @@ let m_simp_eliminated = Tel.Metric.counter "sat.simp.eliminated_vars"
 
 let m_simp_vivified = Tel.Metric.counter "sat.simp.vivified"
 
-let m_imported = Tel.Metric.counter "sat.imported_clauses"
-
 let g_arena_words = Tel.Metric.gauge "sat.arena_words"
 
 let h_lbd =
@@ -812,24 +810,6 @@ and restore_var s v =
 let add_clause_a s lits = ignore (add_clause_core s lits)
 
 let add_clause s lits = add_clause_a s (Array.of_list lits)
-
-(* Clause import from another solver session (cube-and-conquer clause
-   sharing): the arena words for the whole list are reserved up front, so
-   the clauses land as one contiguous append with at most one
-   backing-array growth.  The count of clauses that actually attached is
-   reported back so the importer can account for absorption
-   (root-satisfied, tautological or unit clauses leave no arena clause
-   behind). *)
-let import_clauses s css =
-  let words = List.fold_left (fun acc c -> acc + Array.length c + 2) 0 css in
-  Arena.reserve s.ar words;
-  let attached =
-    List.fold_left
-      (fun n c -> if add_clause_core s c <> no_cref then n + 1 else n)
-      0 css
-  in
-  Tel.Metric.add m_imported (List.length css);
-  attached
 
 (* --- Simplification host operations --- *)
 

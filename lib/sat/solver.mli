@@ -90,20 +90,6 @@ val add_clause : t -> Lit.t list -> unit
 
 val add_clause_a : t -> Lit.t array -> unit
 
-val import_clauses : t -> Lit.t array list -> int
-(** [import_clauses s css] adds clauses learned elsewhere (typically
-    model-blocking constraints captured in a sibling cube's solver
-    session and remapped into this session's variable space) as one
-    contiguous arena append — the words for the whole list are reserved
-    up front (at most one backing-array growth), then the clauses are
-    attached in list order through the same path as {!add_clause_a} —
-    and returns the number of clauses that remained attached — absorbed
-    clauses (root-satisfied, tautological, reduced to units) leave no
-    arena clause and are not counted.  Every literal must be over an
-    existing variable of {e this} solver; the caller owns the remapping.
-    Imported clauses participate in inprocessing like any other problem
-    clause. *)
-
 val freeze_var : t -> int -> unit
 (** Exempt a variable from elimination.  Call before the solve that could
     eliminate it; freezing is the caller's promise registry for variables

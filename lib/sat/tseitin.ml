@@ -49,9 +49,8 @@ type env = {
   solver : Solver.t;
   mutable true_lit : Lit.t option;
   cache : Lit.t Cache.t;
-  (* Observer of every emitted clause, used by the attack layer to capture
-     a DIP constraint's clause stream for cross-cofactor sharing.  Never
-     alters what reaches the solver. *)
+  (* Observer of every emitted clause (see {!with_tap}).  Never alters
+     what reaches the solver. *)
   mutable tap : (Lit.t array -> unit) option;
 }
 

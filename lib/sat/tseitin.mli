@@ -80,7 +80,7 @@ val with_tap : env -> (Lit.t array -> unit) -> (unit -> 'a) -> 'a
     env during [body] (both encoders, the gate constructors, {!force}),
     in emission order — the observed stream is exactly what reaches the
     solver.  The clause array is the one handed to the solver: observers
-    must not retain or mutate it, only read (or copy) it.  Taps nest by composition (outer
-    tap fires first) and are removed on exit, exception included.  Used
-    by the attack layer to capture a DIP constraint's clauses for
-    cross-cofactor sharing. *)
+    must not retain or mutate it, only read (or copy) it.  Taps nest by
+    composition (outer tap fires first) and are removed on exit,
+    exception included.  Used to capture a clause stream for an
+    independent check, such as a DRUP proof replay. *)

@@ -28,23 +28,6 @@ let test_oracle_query_length () =
   Alcotest.check_raises "length" (Invalid_argument "Oracle.query: pattern length") (fun () ->
       ignore (Oracle.query o [| true |]))
 
-let test_oracle_restrict () =
-  let c = full_adder_circuit () in
-  let o = Oracle.of_circuit c in
-  (* Pin cin (position 2) to 1. *)
-  let r = Oracle.restrict o [ (2, true) ] in
-  Alcotest.(check int) "narrow inputs" 2 (Oracle.num_inputs r);
-  let got = Oracle.query r [| true; false |] in
-  let want = Oracle.query o [| true; false; true |] in
-  Alcotest.(check (array bool)) "restricted matches pinned" want got;
-  (* Parent counter accumulates child queries. *)
-  Alcotest.(check bool) "parent counted" true (Oracle.query_count o >= 2)
-
-let test_oracle_restrict_validation () =
-  let o = Oracle.of_circuit (full_adder_circuit ()) in
-  Alcotest.check_raises "dup" (Invalid_argument "Oracle.restrict: duplicate position")
-    (fun () -> ignore (Oracle.restrict o [ (0, true); (0, false) ]))
-
 let test_oracle_of_function () =
   let o = Oracle.of_function ~num_inputs:2 ~num_outputs:1 (fun i -> [| i.(0) && i.(1) |]) in
   Alcotest.(check (array bool)) "and" [| true |] (Oracle.query o [| true; true |])
@@ -216,8 +199,6 @@ let suite =
     Alcotest.test_case "oracle of_circuit" `Quick test_oracle_of_circuit;
     Alcotest.test_case "oracle rejects keyed" `Quick test_oracle_rejects_keyed_circuit;
     Alcotest.test_case "oracle query length" `Quick test_oracle_query_length;
-    Alcotest.test_case "oracle restrict" `Quick test_oracle_restrict;
-    Alcotest.test_case "oracle restrict validation" `Quick test_oracle_restrict_validation;
     Alcotest.test_case "oracle of_function" `Quick test_oracle_of_function;
     Alcotest.test_case "miter of_pair equal" `Quick test_miter_of_pair_equal;
     Alcotest.test_case "miter of_pair different" `Quick test_miter_of_pair_different;

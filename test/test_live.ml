@@ -1,9 +1,9 @@
 (* Live observability layer: cursor delta determinism, sampler
    start/stop idempotence with the final flush sample, the determinism
-   invariant (golden DIP sequences and cube trees byte-identical with the
-   sampler on or off), ring-drop surfacing, stream protocol validation,
-   Prometheus exposition, stream sinks, and the progress model's
-   depth-weighted cube accounting. *)
+   invariant (golden DIP sequences byte-identical with the sampler on or
+   off), ring-drop surfacing, stream protocol validation, Prometheus
+   exposition, stream sinks, and the progress model's depth-weighted
+   cube accounting. *)
 
 open Helpers
 module Tel = LL.Telemetry.Telemetry
@@ -14,8 +14,6 @@ module Progress = LL.Attack.Progress
 module Oracle = LL.Attack.Oracle
 module Sat_attack = LL.Attack.Sat_attack
 module Split_attack = LL.Attack.Split_attack
-module Cube_prep = LL.Attack.Cube_prep
-module Cube_attack = LL.Attack.Cube_attack
 
 (* Every test leaves the whole observability stack off and clean. *)
 let with_live ?ring_capacity f =
@@ -168,35 +166,6 @@ let test_golden_dips_parallel_sampler_on_off () =
   Alcotest.(check string) "parallel split dips identical under sampling"
     (per_task off) (per_task on)
 
-(* One line per cube in canonical tree order (same fingerprint as the
-   cube-attack golden tests). *)
-let fingerprint (t : Cube_attack.t) =
-  Array.to_list t.Cube_attack.cubes
-  |> List.map (fun (c : Cube_attack.cube) ->
-         let r = c.task.Cube_prep.result in
-         Printf.sprintf "%s|%d|%d|%s"
-           (Cube_prep.condition_string c.task.condition)
-           r.Sat_attack.num_dips r.Sat_attack.imported
-           (match c.resplit_input with Some i -> string_of_int i | None -> "-"))
-  |> String.concat ";"
-
-let test_golden_cube_tree_sampler_on_off () =
-  let c = random_circuit ~seed:150 ~num_inputs:8 () in
-  let locked = (LL.Locking.Sarlock.lock ~key_size:6 c).circuit in
-  let config =
-    {
-      Cube_attack.default_config with
-      n0 = 1;
-      budget = { Cube_attack.default_budget with conflicts = None; dips = Some 4 };
-    }
-  in
-  let run () = Cube_attack.run ~config locked ~oracle:(Oracle.of_circuit c) in
-  let off = run () in
-  let on = observed run in
-  Alcotest.(check bool) "tree is non-trivial" true (Cube_attack.resplits off > 0);
-  Alcotest.(check string) "cube tree identical under sampling" (fingerprint off)
-    (fingerprint on)
-
 (* --- ring drops surface to the operator --- *)
 
 let test_drop_warning () =
@@ -333,13 +302,11 @@ let test_progress_counters () =
   with_progress (fun () ->
       Progress.add_dips 5;
       Progress.add_rounds 2;
-      Progress.add_imported 3;
       Progress.add_blocking_clauses 7;
       Progress.set_key_bits 12;
       let v = Progress.view () in
       Alcotest.(check int) "dips" 5 v.Progress.v_dips;
       Alcotest.(check int) "rounds" 2 v.Progress.v_rounds;
-      Alcotest.(check int) "imported" 3 v.Progress.v_imported;
       Alcotest.(check int) "blocking" 7 v.Progress.v_blocking_clauses;
       Alcotest.(check int) "key bits" 12 v.Progress.v_key_bits;
       Alcotest.(check bool) "dip rate moving" true (v.Progress.v_dip_rate > 0.0))
@@ -370,23 +337,43 @@ let test_progress_cube_coverage () =
         v.Progress.v_coverage;
       Alcotest.(check bool) "eta now estimable" true (v.Progress.v_eta_s >= 0.0))
 
-let test_progress_resplit_weight_invariant () =
+let test_progress_keyless_cube_keeps_weight () =
   with_progress (fun () ->
-      (* A depth-0 cube is stopped and re-split into two depth-1 children:
-         the removed weight (1) equals the weight added back (1/2 + 1/2),
-         so solving both children means full coverage. *)
-      Progress.cube_created ~depth:0;
-      Progress.cube_started ~depth:0;
-      Progress.cube_stopped ~depth:0;
+      (* Two depth-1 cubes: one ends without a key, one is solved.  The
+         keyless cube's weight stays in the total, so only half the
+         input space counts as covered. *)
       Progress.cube_created ~depth:1;
       Progress.cube_created ~depth:1;
       Progress.cube_started ~depth:1;
-      Progress.cube_solved ~depth:1;
+      Progress.cube_stopped ();
       Progress.cube_started ~depth:1;
       Progress.cube_solved ~depth:1;
       let v = Progress.view () in
       Alcotest.(check int) "stop recorded" 1 v.Progress.v_cubes_stopped;
-      Alcotest.(check (float 1e-9)) "re-split preserves total weight" 1.0
+      Alcotest.(check int) "nothing running" 0 v.Progress.v_cubes_running;
+      Alcotest.(check (float 1e-9)) "keyless cube keeps its weight" 0.5
+        v.Progress.v_coverage)
+
+let test_split_attack_coverage_without_key () =
+  (* End to end: with a 32-DIP budget one SARLock cofactor runs out of
+     DIPs and the other breaks, so the live view must report half the
+     input space covered, not all of it. *)
+  let c = random_circuit ~seed:150 ~num_inputs:8 ~num_outputs:3 ~gates:60 () in
+  let locked = (LL.Locking.Sarlock.lock ~key_size:6 c).circuit in
+  let config = { Sat_attack.default_config with max_iterations = Some 32 } in
+  with_progress (fun () ->
+      let s = Split_attack.run ~config ~n:1 locked ~oracle:(Oracle.of_circuit c) in
+      let statuses =
+        Array.map (fun t -> t.Split_attack.result.Sat_attack.status) s.Split_attack.tasks
+      in
+      Alcotest.(check bool) "one cofactor broken" true
+        (Array.mem Sat_attack.Broken statuses);
+      Alcotest.(check bool) "one cofactor out of DIPs" true
+        (Array.mem Sat_attack.Iteration_limit statuses);
+      let v = Progress.view () in
+      Alcotest.(check int) "one solved" 1 v.Progress.v_cubes_solved;
+      Alcotest.(check int) "one stopped" 1 v.Progress.v_cubes_stopped;
+      Alcotest.(check (float 1e-9)) "half the input space covered" 0.5
         v.Progress.v_coverage)
 
 let test_keyspace_log2 () =
@@ -426,8 +413,6 @@ let suite =
       test_golden_dips_sampler_on_off;
     Alcotest.test_case "parallel dips unchanged by sampler" `Quick
       test_golden_dips_parallel_sampler_on_off;
-    Alcotest.test_case "cube tree unchanged by sampler" `Quick
-      test_golden_cube_tree_sampler_on_off;
     Alcotest.test_case "ring drops raise a warning" `Quick test_drop_warning;
     Alcotest.test_case "no drops, no warning" `Quick test_no_drop_no_warning;
     Alcotest.test_case "stream round-trip validates" `Quick test_stream_validates;
@@ -441,8 +426,10 @@ let suite =
       test_progress_disabled_feeders_noop;
     Alcotest.test_case "cube coverage is depth-weighted" `Quick
       test_progress_cube_coverage;
-    Alcotest.test_case "re-split preserves weight" `Quick
-      test_progress_resplit_weight_invariant;
+    Alcotest.test_case "keyless cube keeps its weight" `Quick
+      test_progress_keyless_cube_keeps_weight;
+    Alcotest.test_case "split attack coverage without key" `Quick
+      test_split_attack_coverage_without_key;
     Alcotest.test_case "keyspace log2 bound" `Quick test_keyspace_log2;
     Alcotest.test_case "progress renderers" `Quick test_progress_renderers;
   ]

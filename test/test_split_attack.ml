@@ -2,6 +2,7 @@ open Helpers
 module Oracle = LL.Attack.Oracle
 module Split_attack = LL.Attack.Split_attack
 module Sat_attack = LL.Attack.Sat_attack
+module Cube_prep = LL.Attack.Cube_prep
 module Compose = LL.Attack.Compose
 module Equiv = LL.Attack.Equiv
 
@@ -147,8 +148,7 @@ let test_deterministic_across_domain_counts () =
              | Sat_attack.Broken -> "broken"
              | Sat_attack.Iteration_limit -> "iter"
              | Sat_attack.Time_limit -> "time"
-             | Sat_attack.Cancelled -> "cancelled"
-             | Sat_attack.Stopped -> "stopped"))
+             | Sat_attack.Cancelled -> "cancelled"))
     |> String.concat ";"
   in
   let serial = fingerprint (Split_attack.run ~n:2 locked ~oracle) in
@@ -281,6 +281,51 @@ let test_failed_tasks_no_keys () =
   Alcotest.(check bool) "keys unavailable" true (Split_attack.keys s = None);
   Alcotest.(check bool) "compose returns None" true (Compose.of_attack locked s = None)
 
+let test_split_attack_verdict () =
+  (* Cancelled and Broken-without-key are reported distinctly in the
+     merged result. *)
+  let c = random_circuit ~seed:155 ~num_inputs:8 () in
+  let locked = (LL.Locking.Sarlock.lock ~key_size:8 c).circuit in
+  let oracle = Oracle.of_circuit c in
+  let ok = Split_attack.run ~n:1 locked ~oracle in
+  (match Split_attack.verdict ok with
+  | Split_attack.Keys ks -> Alcotest.(check int) "two keys" 2 (Array.length ks)
+  | Split_attack.Incomplete _ -> Alcotest.fail "expected keys");
+  let config = { Sat_attack.default_config with max_iterations = Some 1 } in
+  let failed =
+    Split_attack.run_parallel ~config ~num_domains:1 ~cancel_on_failure:true
+      ~n:2 locked ~oracle
+  in
+  match Split_attack.verdict failed with
+  | Split_attack.Keys _ -> Alcotest.fail "expected failure"
+  | Split_attack.Incomplete counts ->
+      Alcotest.(check int) "one task hit its budget" 1
+        counts.Cube_prep.iteration_limit;
+      Alcotest.(check int) "the rest were cancelled" 3 counts.Cube_prep.cancelled
+
+let test_inconsistent_oracle_unsat_no_key () =
+  (* An oracle no key can match: the locked circuit computes x0 xor k0 on
+     both outputs, the oracle answers x0 and (not x0).  Each cofactor's
+     solver proves its cube unkeyable (Broken, no key), which the verdict
+     reports as [unsat_no_key] rather than as a limit or a cancellation. *)
+  let b = Builder.create ~name:"incons" () in
+  let x0 = Builder.input b "x0" in
+  let x1 = Builder.input b "x1" in
+  let k0 = Builder.key_input b "k0" in
+  ignore x1;
+  Builder.output b "o1" (Builder.xor2 b x0 k0);
+  Builder.output b "o2" (Builder.xor2 b x0 k0);
+  let locked = Builder.finish b in
+  let oracle =
+    Oracle.of_function ~num_inputs:2 ~num_outputs:2 (fun xs ->
+        [| xs.(0); not xs.(0) |])
+  in
+  match Split_attack.verdict (Split_attack.run ~n:1 locked ~oracle) with
+  | Split_attack.Keys _ -> Alcotest.fail "expected failure"
+  | Split_attack.Incomplete { unsat_no_key = 2; _ } -> ()
+  | Split_attack.Incomplete counts ->
+      Alcotest.failf "expected unsat_no_key = 2, got %d" counts.Cube_prep.unsat_no_key
+
 let suite =
   [
     Alcotest.test_case "task count" `Quick test_task_count;
@@ -304,4 +349,7 @@ let suite =
       test_parallel_log_flushed_in_task_order;
     Alcotest.test_case "recommended effort" `Quick test_recommended_effort;
     Alcotest.test_case "failed tasks no keys" `Quick test_failed_tasks_no_keys;
+    Alcotest.test_case "split attack verdict" `Quick test_split_attack_verdict;
+    Alcotest.test_case "inconsistent oracle unsat no key" `Quick
+      test_inconsistent_oracle_unsat_no_key;
   ]
